@@ -72,6 +72,10 @@ type DeLorean struct {
 	Prof *workload.Profile
 	Cfg  warm.Config
 
+	// index is the run's stream-position index, shared by every pass
+	// engine: the first pass to fast-forward across a span walks it, the
+	// others seek (DESIGN.md §15).
+	index     *workload.Index
 	scout     *vm.Engine
 	explorers []*vm.Engine
 	analyst   *vm.Engine
@@ -106,18 +110,27 @@ func (r *Result) SimSecondsPipelined(cm vm.CostModel) float64 {
 
 // New builds a DeLorean evaluation for one benchmark.
 func New(prof *workload.Profile, cfg warm.Config) *DeLorean {
-	d := &DeLorean{Prof: prof, Cfg: cfg}
-	d.scout = vm.NewEngine(prof.NewProgram(cfg.Scale))
+	d := &DeLorean{Prof: prof, Cfg: cfg, index: workload.NewIndex(prof, cfg.Scale)}
+	d.scout = d.NewPassEngine()
 	for range cfg.ExplorerWindows {
-		d.explorers = append(d.explorers, vm.NewEngine(prof.NewProgram(cfg.Scale)))
+		d.explorers = append(d.explorers, d.NewPassEngine())
 	}
-	d.analyst = vm.NewEngine(prof.NewProgram(cfg.Scale))
+	d.analyst = d.NewPassEngine()
 	d.res = &Result{
 		Result: warm.Result{Bench: prof.Name, Method: "DeLorean",
 			Counters: stats.NewCounters()},
 		PassCounters: make(map[string]*stats.Counters),
 	}
 	return d
+}
+
+// NewPassEngine returns an engine over a fresh program of the run's
+// benchmark whose fast-forwards share the run's position index. Design-
+// space exploration builds its extra Analysts with it.
+func (d *DeLorean) NewPassEngine() *vm.Engine {
+	eng := vm.NewEngine(d.Prof.NewProgram(d.Cfg.Scale))
+	eng.Index = d.index
+	return eng
 }
 
 // RunSequential evaluates all regions pass-by-pass in a deterministic

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -337,5 +338,48 @@ func TestDeLoreanTimeLedger(t *testing.T) {
 	if math.Abs(res.WarmingSeconds+res.AnalystSeconds-total) > total*1e-9 {
 		t.Errorf("warming %f + analyst %f != total %f",
 			res.WarmingSeconds, res.AnalystSeconds, total)
+	}
+}
+
+// withoutIndex detaches every pass engine from the run's position index,
+// so each pass walks its own fast-forwards: the straight reference the
+// indexed run must match.
+func withoutIndex(d *DeLorean) *DeLorean {
+	d.scout.Index = nil
+	for _, e := range d.explorers {
+		e.Index = nil
+	}
+	d.analyst.Index = nil
+	return d
+}
+
+// TestIndexedMatchesStraight: sharing the run's position index changes
+// host time only. For every suite profile at two scales, the indexed run —
+// sequential and pipelined — must deep-equal the sequential run whose
+// passes walk every fast-forward themselves, ledgers included.
+func TestIndexedMatchesStraight(t *testing.T) {
+	profs := workload.Benchmarks()
+	if testing.Short() {
+		profs = profs[:6]
+	}
+	for _, scale := range []uint64{64, 512} {
+		cfg := warm.DefaultConfig()
+		cfg.Regions = 2
+		cfg.Scale = scale
+		cfg.PaperGap = scale * 100_000 // scaled gap 100k: ~24 grid points
+		cfg.VicinityEvery = scale * 2_000
+		for _, prof := range profs {
+			prof, cfg := prof, cfg
+			t.Run(prof.Name+"/"+strconv.FormatUint(scale, 10), func(t *testing.T) {
+				t.Parallel()
+				ref := withoutIndex(New(prof, cfg)).RunSequential()
+				if seq := New(prof, cfg).RunSequential(); !reflect.DeepEqual(seq, ref) {
+					t.Error("indexed sequential run differs from the straight run")
+				}
+				if pipe := New(prof, cfg).RunPipelined(); !reflect.DeepEqual(pipe, ref) {
+					t.Error("indexed pipelined run differs from the straight run")
+				}
+			})
+		}
 	}
 }

@@ -94,7 +94,7 @@ func RunParallel(prof *workload.Profile, cfg warm.Config, llcPaperSizes []uint64
 	analysts := make([]*vm.Engine, len(llcPaperSizes))
 	analystCfgs := make([]warm.Config, len(llcPaperSizes))
 	for i := range analysts {
-		analysts[i] = vm.NewEngine(prof.NewProgram(cfg.Scale))
+		analysts[i] = d.NewPassEngine()
 		analystCfgs[i] = cfg
 		analystCfgs[i].LLCPaperBytes = llcPaperSizes[i]
 		res.AnalystCounters = append(res.AnalystCounters, analysts[i].Counters)
@@ -102,13 +102,6 @@ func RunParallel(prof *workload.Profile, cfg warm.Config, llcPaperSizes []uint64
 			Bench: prof.Name, Method: "DeLorean-DSE", Counters: analysts[i].Counters})
 	}
 
-	// The tracker advances to each region's warm point exactly once and its
-	// captured position seeds every Analyst's seek: the gap's address-
-	// generation work is paid once per region instead of once per LLC size
-	// (warm-state reuse across sizes; bit-identical to the per-Analyst
-	// fast-forward it replaces — Seek's contract — and charged to each
-	// Analyst's VFF ledger identically).
-	tracker := prof.NewProgram(cfg.Scale)
 	var engagedSum int
 	for m := 0; m < cfg.Regions; m++ {
 		if cfg.Cancelled() {
@@ -121,23 +114,19 @@ func RunParallel(prof *workload.Profile, cfg warm.Config, llcPaperSizes []uint64
 		engagedSum += rd.Engaged
 		records := rd.AllRecords()
 		// DetailWarm is size-independent (the sizes vary only the LLC), so
-		// one warm point serves all Analysts.
+		// one warm point serves all Analysts. The Scout recorded it in the
+		// shared index, so each Analyst seeks there instead of walking the
+		// gap.
 		warmStart := rd.Start - cfg.DetailWarm
-		tracker.Skip(warmStart - tracker.InstrIndex())
-		warmPos := tracker.Position()
 		runner.ForEach(len(analysts), workers, func(i int) {
 			sizeCfg := analystCfgs[i]
 			eng := analysts[i]
 			eng.Prop = true
+			eng.FastForwardTo(warmStart)
 			hier := cache.NewHierarchy(sizeCfg.HierConfig(), nil)
 			cr := cpu.NewCore(sizeCfg.CPU, hier, nil)
 			oracle := warm.NewDSWOracle(records, rd.Vicinity, rd.Assoc, hier)
-			rr, err := warm.EvalRegionAt(sizeCfg, eng, warmPos, cr, oracle)
-			if err != nil {
-				// Tracker and Analysts run the same program at the same
-				// scale; a seek failure is a programming bug.
-				panic(err)
-			}
+			rr := warm.EvalRegion(sizeCfg, eng, cr, oracle)
 			res.PerSize[i].Regions = append(res.PerSize[i].Regions, rr)
 		})
 	}

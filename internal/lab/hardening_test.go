@@ -20,6 +20,7 @@ import (
 	"repro/internal/lab"
 	"repro/internal/runner"
 	"repro/internal/spec"
+	"repro/internal/warm"
 )
 
 // The service-hardening tests need jobs that fail, block and observe
@@ -554,4 +555,66 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
+}
+
+// TestMalformedConfigsRejected: configs whose fast-forward targets
+// underflow or point into the past used to wedge a worker in a
+// near-endless walk, and Scale 0 killed the daemon. Each must now be
+// refused at submission with a 400 naming the field, and the daemon must
+// go on serving.
+func TestMalformedConfigsRejected(t *testing.T) {
+	ts, _ := newHardenedServer(t, 1, lab.Options{})
+	base := warm.DefaultConfig()
+	base.Scale = 1024
+	base.Regions = 2
+	cases := []struct {
+		name, kind, field string
+		mutate            func(c *warm.Config)
+	}{
+		{"windows not ascending", spec.KindSampling, "ExplorerWindows",
+			func(c *warm.Config) { c.ExplorerWindows = []float64{0.05, 0.005, 0.10, 1.0} }},
+		{"window beyond the gap", spec.KindSampling, "ExplorerWindows",
+			func(c *warm.Config) { c.ExplorerWindows = []float64{0.005, 0.05, 0.10, 1.5} }},
+		{"detail warming fills the gap", spec.KindSampling, "DetailWarm",
+			func(c *warm.Config) { c.DetailWarm = c.Gap() }},
+		{"zero scale", spec.KindSampling, "Scale",
+			func(c *warm.Config) { c.Scale = 0 }},
+		{"dse windows not ascending", spec.KindDSESweep, "ExplorerWindows",
+			func(c *warm.Config) { c.ExplorerWindows = []float64{0.10, 0.05} }},
+	}
+	for _, c := range cases {
+		cfg := base
+		cfg.ExplorerWindows = append([]float64(nil), base.ExplorerWindows...)
+		c.mutate(&cfg)
+		params := map[string]any{"bench": map[string]string{"name": "mcf"}, "cfg": cfg}
+		if c.kind == spec.KindSampling {
+			params["method"] = spec.MethodDeLorean
+		} else {
+			params["sizes"] = []uint64{8 << 20}
+		}
+		body, err := json.Marshal(map[string]any{"kind": c.kind, "params": params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/specs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: daemon unreachable: %v", c.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %s, want 400", c.name, resp.Status)
+		}
+		if !strings.Contains(string(msg), c.field) {
+			t.Errorf("%s: error %s does not name %s", c.name, msg, c.field)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after malformed specs: %v %v", resp, err)
+	}
+	resp.Body.Close()
+	// The single worker is free: a well-formed spec still runs.
+	st := postSpec(t, ts, shortSpec(t))
+	waitDone(t, ts, st.Key)
 }

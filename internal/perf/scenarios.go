@@ -220,7 +220,7 @@ func DSEFanout() Scenario {
 			analysts := make([]*vm.Engine, len(sizes))
 			cfgs := make([]warm.Config, len(sizes))
 			for i, s := range sizes {
-				analysts[i] = vm.NewEngine(prof.NewProgram(cfg.Scale))
+				analysts[i] = d.NewPassEngine()
 				cfgs[i] = cfg
 				cfgs[i].LLCPaperBytes = s
 			}

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/mem"
-	"repro/internal/workload"
 )
 
 // WatchedPage is one watched page: its index and the 64-bit bitmap of its
@@ -54,22 +53,4 @@ func (w *Watchpoints) SetState(s WatchpointsState) {
 		*p = wp.Bits
 		w.n += bits.OnesCount64(wp.Bits)
 	}
-}
-
-// SeekTo restores the program to a captured position, charging the skipped
-// span to the VFF ledger exactly as FastForwardTo would — the position is
-// a fast-forward that skips the host-side replay work, not a change to the
-// simulated execution, so every ledger-derived figure is unchanged. Like
-// FastForwardTo it panics if the position is in the past: passes only ever
-// travel forward.
-func (e *Engine) SeekTo(pos workload.Position) error {
-	cur := e.Prog.InstrIndex()
-	if cur > pos.InstrIdx {
-		panic("vm: SeekTo target is in the past")
-	}
-	if err := e.Prog.Seek(pos); err != nil {
-		return err
-	}
-	e.charge(KindVFF, float64(pos.InstrIdx-cur))
-	return nil
 }

@@ -196,6 +196,12 @@ type Engine struct {
 	// Prop selects the ledger prefix: window-proportional ("win/") or
 	// per-region fixed ("fix/"). Callers set it per phase.
 	Prop bool
+	// Index, when set, is the stream-position index FastForwardTo seeks
+	// through and records into. Engines of one time-traveling run share
+	// it, so a span of the stream is walked once per run rather than once
+	// per pass. It changes host time only, never the program state or the
+	// ledger.
+	Index *workload.Index
 
 	sampleCount uint64
 }
@@ -217,16 +223,21 @@ func (e *Engine) charge(kind string, n float64) {
 }
 
 // FastForwardTo advances execution to absolute instruction index `to`
-// under VFF. It panics if the program is already past `to` — passes only
-// ever travel forward; going "back in time" means a different pass.
+// under VFF, charging the whole span to the VFF ledger whether the program
+// walked it or seeked across it through the engine's Index. It panics if
+// the program is already past `to` — passes only ever travel forward;
+// going "back in time" means a different pass.
 func (e *Engine) FastForwardTo(to uint64) {
 	cur := e.Prog.InstrIndex()
 	if cur > to {
 		panic("vm: FastForwardTo target is in the past")
 	}
-	n := to - cur
-	e.Prog.Skip(n)
-	e.charge(KindVFF, float64(n))
+	if e.Index != nil {
+		e.Index.SkipTo(e.Prog, to)
+	} else {
+		e.Prog.Skip(to - cur)
+	}
+	e.charge(KindVFF, float64(to-cur))
 }
 
 // RunFunc executes n instructions under functional simulation, invoking h
@@ -246,20 +257,6 @@ func (e *Engine) RunFunc(n uint64, cacheSim bool, h InstrHandler) {
 			h(&ins, nil)
 		}
 	}
-	if cacheSim {
-		e.charge(KindFuncCache, float64(n))
-	} else {
-		e.charge(KindFunc, float64(n))
-	}
-}
-
-// RunFuncBatch executes n instructions under functional simulation,
-// appending every memory access to b as a by-value record; non-memory
-// instructions execute unobserved. It is the batched twin of RunFunc for
-// callers that only consume the data-access stream — same program state
-// evolution, same ledger charge, no per-instruction handler call.
-func (e *Engine) RunFuncBatch(n uint64, cacheSim bool, b *mem.Batch) {
-	e.Prog.FillBatch(n, b)
 	if cacheSim {
 		e.charge(KindFuncCache, float64(n))
 	} else {

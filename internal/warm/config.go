@@ -17,12 +17,13 @@ package warm
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/stats"
 	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
 // Config is the sampled-simulation setup (paper §5): 10 detailed regions of
@@ -119,6 +120,44 @@ func DecodeConfig(b []byte) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// Validate rejects a configuration whose regions or windows cannot be laid
+// out along the stream: every pass only travels forward, so a target that
+// underflows or lies behind a pass would wedge or kill it. The error names
+// the offending field.
+func (c Config) Validate() error {
+	if c.Scale == 0 {
+		return fmt.Errorf("Scale must be at least 1")
+	}
+	if c.Regions < 1 {
+		return fmt.Errorf("Regions = %d, must be at least 1", c.Regions)
+	}
+	gap := c.Gap()
+	if c.DetailWarm > gap || c.RegionLen > gap-c.DetailWarm {
+		return fmt.Errorf("DetailWarm = %d plus RegionLen = %d exceeds the scaled gap %d (PaperGap/Scale)",
+			c.DetailWarm, c.RegionLen, gap)
+	}
+	if uint64(c.Regions) > (math.MaxUint64-c.RegionLen)/max(gap, 1) {
+		return fmt.Errorf("PaperGap = %d: %d regions overflow the instruction index", c.PaperGap, c.Regions)
+	}
+	prev := 0.0
+	for k, w := range c.ExplorerWindows {
+		if !(w > prev) || w > 1 {
+			return fmt.Errorf("ExplorerWindows[%d] = %g, windows must be strictly ascending in (0, 1]", k, w)
+		}
+		prev = w
+	}
+	// CoolSim runs its last segment to the end of the warm-up interval, so
+	// the segments before it must fit inside the interval.
+	var sum float64
+	for i, seg := range c.RSWSchedule {
+		sum += seg.Frac
+		if !(seg.Frac >= 0) || (i < len(c.RSWSchedule)-1 && sum > 1) {
+			return fmt.Errorf("RSWSchedule[%d].Frac = %g, fractions must be non-negative and sum to at most 1", i, seg.Frac)
+		}
+	}
+	return nil
 }
 
 // Gap returns the scaled inter-region gap in instructions.
@@ -264,19 +303,4 @@ func EvalRegion(cfg Config, eng *vm.Engine, core *cpu.Core, oracle cache.Oracle)
 		Stats:     st,
 		LLCMisses: hier.LLCMissCount - llcBefore,
 	}
-}
-
-// EvalRegionAt is EvalRegion for an engine that has not yet reached the
-// region: it first seeks the engine to the captured warm-start position —
-// charging the skipped span to the VFF ledger exactly as FastForwardTo
-// would, so ledger-derived figures cannot move — then runs the standard
-// evaluation. The position is produced once by a tracker program and
-// shared by all per-size analysts of a DSE fan-out: K sizes pay the gap's
-// address-generation work once instead of K times (the checkpoint/fork
-// discipline applied to the DSE inner loop).
-func EvalRegionAt(cfg Config, eng *vm.Engine, at workload.Position, core *cpu.Core, oracle cache.Oracle) (RegionResult, error) {
-	if err := eng.SeekTo(at); err != nil {
-		return RegionResult{}, err
-	}
-	return EvalRegion(cfg, eng, core, oracle), nil
 }

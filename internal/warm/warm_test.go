@@ -1,6 +1,7 @@
 package warm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -31,6 +32,37 @@ func testProf() *workload.Profile {
 			{Kind: workload.Seq, Weight: 0.25, PaperBytes: 128 * 1024, PCs: 4, WriteFrac: 0.4},
 			{Kind: workload.Rand, Weight: 0.15, PaperBytes: 1024 * 1024, PCs: 4, WriteFrac: 0.2},
 		},
+	}
+}
+
+// TestConfigValidate: the paper defaults pass, and each configuration
+// whose regions or windows cannot be laid out forward along the stream is
+// rejected with an error naming its field.
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	cases := map[string]func(c *Config){
+		"Scale":           func(c *Config) { c.Scale = 0 },
+		"Regions":         func(c *Config) { c.Regions = 0 },
+		"DetailWarm":      func(c *Config) { c.DetailWarm = c.Gap() - c.RegionLen + 1 },
+		"PaperGap":        func(c *Config) { c.Scale, c.PaperGap = 1, 1<<62 },
+		"ExplorerWindows": func(c *Config) { c.ExplorerWindows = []float64{0.05, 0.05} },
+		"RSWSchedule":     func(c *Config) { c.RSWSchedule = []RSWSegment{{0.8, 1}, {0.3, 1}, {0.1, 1}} },
+	}
+	for field, mutate := range cases {
+		c := DefaultConfig()
+		mutate(&c)
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: Validate() = %v, want an error naming the field", field, err)
+		}
+	}
+	edge := DefaultConfig()
+	edge.DetailWarm = edge.Gap() - edge.RegionLen
+	edge.ExplorerWindows = []float64{1}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("config at the layout limits rejected: %v", err)
 	}
 }
 

@@ -60,7 +60,10 @@ func (pr *Program) Position() Position {
 // phase-gated selection tables are deterministic functions of the
 // instruction index, so rebuilding them at seek time reproduces exactly
 // the state a straight replay would carry. Seek replaces "Reset then Skip
-// to offset" — O(streams) instead of O(instructions).
+// to offset" — O(streams) instead of O(instructions). Positions whose
+// stream state no program can reach (a cursor or last offset outside the
+// stream, a burst count at or past its length) are rejected, and the
+// program is left unchanged.
 func (pr *Program) Seek(p Position) error {
 	if len(p.Streams) != len(pr.streams) {
 		return fmt.Errorf("workload: seek: position has %d streams, program %q has %d",
@@ -69,6 +72,13 @@ func (pr *Program) Seek(p Position) error {
 	if len(p.BranchCtrs) != len(pr.branchSlots) {
 		return fmt.Errorf("workload: seek: position has %d branch counters, program %q has %d",
 			len(p.BranchCtrs), pr.prof.Name, len(pr.branchSlots))
+	}
+	for i, sp := range p.Streams {
+		st := &pr.streams[i]
+		if sp.Pos >= st.lines || sp.LastOff >= st.lines || sp.BurstLeft >= st.burstLen {
+			return fmt.Errorf("workload: seek: stream %d state (pos %d, last_off %d, burst_left %d) out of range for %d lines, burst %d",
+				i, sp.Pos, sp.LastOff, sp.BurstLeft, st.lines, st.burstLen)
+		}
 	}
 	pr.rng.SetState(p.RNG)
 	pr.randRng.SetState(p.RandRNG)

@@ -306,6 +306,9 @@ func (p *Profile) NewProgram(scale uint64) *Program {
 				}
 			}
 		}
+		// Reduced so one subtraction keeps Seq's cursor inside the stream,
+		// where Seek requires it.
+		stride %= lines
 		st := streamState{
 			kind:      s.Kind,
 			baseLine:  base,

@@ -115,26 +115,35 @@ func TestStreamArenasDisjoint(t *testing.T) {
 }
 
 // TestAddressesInArena: every generated address must fall inside the arena
-// of one of the profile's streams.
+// of one of the profile's streams, and the program's position must stay
+// seekable — including a Seq stream whose stride exceeds its length.
 func TestAddressesInArena(t *testing.T) {
-	p := Zeusmp()
-	pr := p.NewProgram(testScale)
-	var ins Instr
-	for i := 0; i < 100000; i++ {
-		pr.Next(&ins)
-		if ins.Kind != KindLoad && ins.Kind != KindStore {
-			continue
-		}
-		line := uint64(mem.LineOf(ins.Addr))
-		ok := false
-		for _, st := range pr.streams {
-			if line >= st.baseLine && line < st.baseLine+st.lines*st.spread {
-				ok = true
-				break
+	longStride := &Profile{
+		Name: "long-stride", MemRatio: 0.4, BranchRatio: 0.1, LoopDuty: 8, ILP: 4, CodeKiB: 4, Seed: 3,
+		Streams: []StreamSpec{{Kind: Seq, Weight: 1, PaperBytes: 16 * mem.LineSize, StrideLines: 100}},
+	}
+	for _, p := range []*Profile{Zeusmp(), longStride} {
+		pr := p.NewProgram(testScale)
+		var ins Instr
+		for i := 0; i < 100000; i++ {
+			pr.Next(&ins)
+			if ins.Kind != KindLoad && ins.Kind != KindStore {
+				continue
+			}
+			line := uint64(mem.LineOf(ins.Addr))
+			ok := false
+			for _, st := range pr.streams {
+				if line >= st.baseLine && line < st.baseLine+st.lines*st.spread {
+					ok = true
+					break
+				}
+			}
+			if !ok {
+				t.Fatalf("%s: address %#x (line %d) outside all arenas", p.Name, ins.Addr, line)
 			}
 		}
-		if !ok {
-			t.Fatalf("address %#x (line %d) outside all arenas", ins.Addr, line)
+		if err := p.NewProgram(testScale).Seek(pr.Position()); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
 		}
 	}
 }
