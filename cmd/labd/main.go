@@ -73,7 +73,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/faultpoint"
 	"repro/internal/lab"
-	"repro/internal/runner"
 	"repro/internal/spec"
 	"repro/internal/warm"
 )
@@ -129,19 +128,20 @@ func main() {
 	if (len(peerList) > 0) != (*self != "") {
 		fatal(fmt.Errorf("fleet mode needs both -self and -peers"))
 	}
-
-	var (
-		eng   *runner.Engine
-		store *artifact.Store
-		err   error
-	)
-	if fleet.Enabled() {
-		eng, store, err = lab.NewFleetEngine(*workers, *storeDir, *storeMax<<20, peerList, *fetchTimeout)
-	} else {
-		eng, store, err = lab.NewEngine(*workers, *storeDir, *storeMax<<20)
+	if fleet.Enabled() && *storeDir == "" {
+		// The peer tier is an artifact tier: a node with nothing to serve
+		// would be a freeloader that also re-executes everything.
+		fatal(fmt.Errorf("fleet mode requires an artifact store (-store)"))
 	}
+
+	eng, store, err := lab.NewEngine(*workers, *storeDir, *storeMax<<20)
 	if err != nil {
 		fatal(err)
+	}
+	if fleet.Enabled() {
+		// Local misses are retried against the fleet (integrity
+		// re-verified, then persisted locally) before recomputing.
+		store.AttachPeers(artifact.NewPeerBlob(peerList, artifact.PeerOptions{Timeout: *fetchTimeout}))
 	}
 
 	// Durable job journal (DESIGN.md §14): accepted submissions are

@@ -60,7 +60,7 @@ func confBackends() []confBackend {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(lab.NewServer(eng, srvStore).Handler())
+			ts := httptest.NewServer(lab.NewServerOpts(eng, srvStore, lab.Options{}).Handler())
 			t.Cleanup(ts.Close)
 			return artifact.NewPeerBlob([]string{ts.URL}, artifact.PeerOptions{
 				Timeout: 5 * time.Second, RetryBackoff: time.Millisecond,

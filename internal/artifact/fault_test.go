@@ -110,7 +110,7 @@ func TestPeerTransportFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(lab.NewServer(eng, srvStore).Handler())
+	ts := httptest.NewServer(lab.NewServerOpts(eng, srvStore, lab.Options{}).Handler())
 	defer ts.Close()
 
 	ft := &artifact.FaultTransport{FailAfter: 1}

@@ -160,7 +160,7 @@ func TestPeerReadThroughPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(lab.NewServer(eng, aStore).Handler())
+	ts := httptest.NewServer(lab.NewServerOpts(eng, aStore, lab.Options{}).Handler())
 
 	// Node B: empty local store, peer tier pointing at A.
 	bDir := t.TempDir()

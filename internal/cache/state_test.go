@@ -14,13 +14,22 @@ import (
 // prefetcher, when configured).
 func driveHierarchy(h *Hierarchy, prof *workload.Profile, scale, n uint64) {
 	prog := prof.NewProgram(scale)
-	var ins workload.Instr
-	for i := uint64(0); i < n; i++ {
-		prog.Next(&ins)
-		h.AccessInstr(ins.FetchLine)
-		if ins.Kind == workload.KindLoad || ins.Kind == workload.KindStore {
-			h.AccessData(&mem.Access{Addr: ins.Addr, Write: ins.Kind == workload.KindStore,
-				MemIdx: prog.MemIndex(), InstrIdx: prog.InstrIndex()})
+	var batch workload.InstrBatch
+	var memIdx uint64
+	for left := n; left > 0; {
+		k := min(left, workload.ChunkLen)
+		left -= k
+		base := prog.InstrIndex()
+		batch.Reset()
+		prog.FillInstrBatch(k, &batch)
+		for i := range batch {
+			ins := &batch[i]
+			h.AccessInstr(ins.FetchLine)
+			if ins.Kind == workload.KindLoad || ins.Kind == workload.KindStore {
+				h.AccessData(&mem.Access{PC: ins.PC, Addr: ins.Addr, Write: ins.Kind == workload.KindStore,
+					MemIdx: memIdx, InstrIdx: base + uint64(i)})
+				memIdx++
+			}
 		}
 	}
 }

@@ -17,33 +17,54 @@ import (
 // legitimately holds an older record than the oracle's.
 func clearScratch(c *Core) { c.acc = mem.Access{} }
 
+// idxOracle overrides misses as a pure function of the access's stream
+// position and level, so any difference in the MemIdx/InstrIdx the two
+// engines hand the hierarchy's miss tail moves the timing; calls counts
+// the consultations, which the final deep-equal compares too.
+type idxOracle struct{ calls uint64 }
+
+func (o *idxOracle) OverrideMiss(a *mem.Access, lv cache.Level) bool {
+	o.calls++
+	return (a.MemIdx*31+a.InstrIdx*7+uint64(lv))%3 == 0
+}
+
 // TestRunBatchMatchesRun is the batched timing core's oracle gate: for
 // every workload profile in the suite, a core driven by RunBatch must
 // produce bit-identical per-quantum Stats AND bit-identical final state —
 // the whole Core (dispatch clock, ROB ring, MSHR ring, in-flight table,
-// scratch), the whole hierarchy (tags, ages, tick counters, statistics)
-// and the branch predictor — compared to a twin core driven by the
-// per-instruction Run. Quanta of varying sizes land the batch boundaries
-// mid-burst, mid-miss and across phase edges.
+// scratch), the whole hierarchy (tags, ages, tick counters, statistics,
+// the armed oracle) and the branch predictor — compared to a twin core
+// driven by the per-instruction Run oracle. Quanta of varying sizes land
+// the chunk and call boundaries mid-burst, mid-miss and across phase
+// edges; the 30 000-instruction quantum spans many chunks inside one
+// interval. Odd quanta run with a miss-overriding oracle armed at both
+// levels, as EvalRegion's measured region does.
 func TestRunBatchMatchesRun(t *testing.T) {
-	quanta := []uint64{200, 1, 7, 200, 3000, 64, 513, 200}
+	quanta := []uint64{200, 1, 7, 200, 3000, 64, 513, 200, 30_000, 0, 1023}
 	for _, prof := range workload.Benchmarks() {
 		prof := prof
 		t.Run(prof.Name, func(t *testing.T) {
 			const scale = 256
-			mk := func() (*Core, *workload.Program) {
+			mk := func() (*Core, *workload.Program, *idxOracle) {
 				hier := cache.NewHierarchy(cache.DefaultHierarchy(4<<20, scale), nil)
-				return NewCore(DefaultConfig(), hier, nil), prof.NewProgram(scale)
+				return NewCore(DefaultConfig(), hier, nil), prof.NewProgram(scale), &idxOracle{}
 			}
-			refCore, refProg := mk()
-			batCore, batProg := mk()
+			refCore, refProg, refOracle := mk()
+			batCore, batProg, batOracle := mk()
 			var batch workload.InstrBatch
 			for qi, q := range quanta {
+				refCore.Hier.Oracle, batCore.Hier.Oracle = nil, nil
+				if qi%2 == 1 {
+					refCore.Hier.Oracle, batCore.Hier.Oracle = refOracle, batOracle
+				}
 				want := refCore.Run(refProg, q)
 				got := batCore.RunBatch(batProg, q, &batch)
 				if got != want {
 					t.Fatalf("quantum %d (n=%d): stats diverge:\nbatched %+v\noracle  %+v", qi, q, got, want)
 				}
+			}
+			if refOracle.calls == 0 {
+				t.Fatal("the armed oracle was never consulted")
 			}
 			clearScratch(refCore)
 			clearScratch(batCore)
@@ -55,10 +76,55 @@ func TestRunBatchMatchesRun(t *testing.T) {
 			}
 		})
 	}
+
+	// Two cores over one shared LLC, alternating quanta: the per-core
+	// half of the co-run engine, whose scheduler multiprog pins separately.
+	t.Run("shared-llc", func(t *testing.T) {
+		const scale = 64
+		profs := []*workload.Profile{workload.Mcf(), workload.Lbm()}
+		mk := func() ([]*Core, []*workload.Program) {
+			hiers := cache.NewSharedHierarchy(cache.DefaultHierarchy(1<<20, scale), len(profs))
+			cores := make([]*Core, len(profs))
+			progs := make([]*workload.Program, len(profs))
+			for i, p := range profs {
+				cores[i] = NewCore(DefaultConfig(), hiers[i], nil)
+				progs[i] = p.NewProgram(scale)
+			}
+			return cores, progs
+		}
+		refCores, refProgs := mk()
+		batCores, batProgs := mk()
+		var batch workload.InstrBatch
+		for qi, q := range []uint64{200, 700, 1, 5000, 513, 200, 3, 2048} {
+			i := qi % 2
+			want := refCores[i].Run(refProgs[i], q)
+			got := batCores[i].RunBatch(batProgs[i], q, &batch)
+			if got != want {
+				t.Fatalf("quantum %d (core %d, n=%d): stats diverge:\nbatched %+v\noracle  %+v", qi, i, q, got, want)
+			}
+		}
+		for i := range batCores {
+			clearScratch(refCores[i])
+			clearScratch(batCores[i])
+		}
+		if !reflect.DeepEqual(batCores, refCores) {
+			t.Errorf("final state of the shared-LLC cores diverges")
+		}
+	})
+
+	// The scratch holds one chunk, whatever the interval length.
+	t.Run("bounded-scratch", func(t *testing.T) {
+		hier := cache.NewHierarchy(cache.DefaultHierarchy(4<<20, 256), nil)
+		var b workload.InstrBatch
+		NewCore(DefaultConfig(), hier, nil).RunBatch(workload.Mcf().NewProgram(256), 1<<20, &b)
+		if cap(b) > workload.ChunkLen {
+			t.Errorf("scratch capacity %d after a 1<<20-instruction interval, want <= %d", cap(b), workload.ChunkLen)
+		}
+	})
 }
 
 // TestRunBatchMatchesRunInterleaved: mixing the two engines on ONE core
-// mid-stream must also be exact — the memo is per-batch, so nothing about
+// mid-stream must also be exact — the memo is per call, so nothing about
 // a preceding Run (or functional warming) can poison a following RunBatch.
 func TestRunBatchMatchesRunInterleaved(t *testing.T) {
 	prof := workload.Mcf()

@@ -80,12 +80,12 @@ func (s *Stats) Add(o Stats) {
 // mshrRing is a fixed-capacity sorted ring of outstanding-miss completion
 // times — the multiset behind the MSHR occupancy check. It replaces the
 // earlier binary min-heap: occupancy can never exceed the L1D MSHR count
-// (Run pops the oldest entry before pushing when full), completion times
-// arrive in nearly ascending order (issue cycles are close to monotone and
-// there are only a few distinct latencies), so a sorted insertion is one
-// comparison in the common case while min and drain become O(1) ring-head
-// pops with no sift. Multiset semantics are identical to the heap's, so
-// timing results are unchanged.
+// (the core pops the oldest entry before pushing when full), completion
+// times arrive in nearly ascending order (issue cycles are close to
+// monotone and there are only a few distinct latencies), so a sorted
+// insertion is one comparison in the common case while min and drain
+// become O(1) ring-head pops with no sift. Multiset semantics are identical
+// to the heap's, so timing results are unchanged.
 type mshrRing struct {
 	buf  []uint64
 	head int // index of the minimum
@@ -111,7 +111,7 @@ func (r *mshrRing) popMin() {
 }
 
 // push inserts x keeping ascending order from head. The caller keeps
-// occupancy below capacity (Run's MSHR-full stall pops first).
+// occupancy below capacity (the MSHR-full stall pops first).
 func (r *mshrRing) push(x uint64) {
 	size := len(r.buf)
 	i := r.n
@@ -166,7 +166,7 @@ type Core struct {
 	mshrs       int                           // L1D MSHR count, resolved once from the hierarchy config
 	pruneLen    int                           // outstanding-table occupancy that triggers a prune
 	// acc is the scratch record handed to Hierarchy.AccessData. It lives in
-	// the (heap-resident) core rather than on the Run/RunBatch stack because
+	// the (heap-resident) core rather than on the RunBatch stack because
 	// the oracle interface call inside AccessData makes a stack-local record
 	// escape — one heap allocation per quantum on the co-run hot path.
 	acc mem.Access
@@ -174,8 +174,8 @@ type Core struct {
 	// --- warm: read/written once per batch (locals inside RunBatch) ---
 	cycle        uint64 // dispatch front cycle (fixed point: subcycles via width counting)
 	widthCount   int
-	fetchStall   uint64   // cycle until which the front-end is squashed
-	robSlot      int      // completion-ring slot of the next instruction (wraps at ROB)
+	fetchStall   uint64 // cycle until which the front-end is squashed
+	robSlot      int    // completion-ring slot of the next instruction (wraps at ROB)
 	maxComplete  uint64
 	completion   []uint64 // ring buffer of the last ROB completion times
 	pruneScratch []mem.Line
@@ -189,7 +189,7 @@ type Core struct {
 }
 
 // NewCore builds a core over the given (already constructed) hierarchy and
-// predictor; both persist across Run calls so warming carries over.
+// predictor; both persist across RunBatch calls so warming carries over.
 func NewCore(cfg Config, hier *cache.Hierarchy, bp *BranchPred) *Core {
 	if bp == nil {
 		bp = NewBranchPred(cfg.BP)
@@ -213,178 +213,30 @@ func NewCore(cfg Config, hier *cache.Hierarchy, bp *BranchPred) *Core {
 	return c
 }
 
-// Run executes n instructions of prog through the timing model and returns
-// the interval's statistics. Microarchitectural state (caches, predictor,
-// in-flight misses) persists across calls.
-func (c *Core) Run(prog *workload.Program, n uint64) Stats {
-	var st Stats
-	st.Instructions = n
-	mshrs := c.mshrs
-	startCycle := c.cycle
-	var ins workload.Instr
-	for i := uint64(0); i < n; i++ {
-		memIdx := prog.MemIndex()
-		instrIdx := prog.InstrIndex()
-		prog.Next(&ins)
-
-		// Front end: width, redirect and ROB constraints.
-		c.widthCount++
-		if c.widthCount >= c.Cfg.Width {
-			c.widthCount = 0
-			c.cycle++
-		}
-		if c.fetchStall > c.cycle {
-			c.cycle = c.fetchStall
-			c.widthCount = 0
-		}
-		// Instruction fetch: an I-side miss stalls the front end.
-		if fl := c.Hier.AccessInstr(ins.FetchLine); fl > c.Hier.Cfg.L1I.HitLat {
-			c.cycle += uint64(fl - c.Hier.Cfg.L1I.HitLat)
-		}
-		// ROB: cannot dispatch past the completion of the instruction that
-		// frees our slot.
-		slot := c.robSlot
-		if c.completion[slot] > c.cycle {
-			c.cycle = c.completion[slot]
-			c.widthCount = 0
-		}
-		dispatch := c.cycle
-
-		// Register dependence.
-		ready := dispatch
-		dep := int(ins.DepDist)
-		if dep >= 1 && dep <= c.Cfg.ROB {
-			prodSlot := slot - dep
-			if prodSlot < 0 {
-				prodSlot += c.Cfg.ROB
-			}
-			if t := c.completion[prodSlot]; t > ready {
-				ready = t
-			}
-		}
-
-		var complete uint64
-		switch ins.Kind {
-		case workload.KindLoad, workload.KindStore:
-			st.MemAccesses++
-			line := mem.LineOf(ins.Addr)
-			// Drain MSHRs whose miss has returned.
-			for c.mshrFree.n > 0 && c.mshrFree.min() <= ready {
-				c.mshrFree.popMin()
-			}
-			if t, inFlight := c.outstanding.Get(line); inFlight && t > ready {
-				// Delayed hit: coalesce onto the existing MSHR.
-				st.MSHRHits++
-				complete = t
-			} else {
-				if inFlight {
-					c.outstanding.Delete(line)
-				}
-				c.acc = mem.Access{PC: ins.PC, Addr: ins.Addr,
-					Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrIdx}
-				r := c.Hier.AccessData(&c.acc)
-				if r.WarmingHit {
-					st.WarmingHits++
-				}
-				switch r.Served {
-				case cache.LevelL1:
-					st.L1DHits++
-				case cache.LevelLLC:
-					st.LLCHits++
-				default:
-					st.MemServed++
-				}
-				issue := ready
-				if r.Served != cache.LevelL1 {
-					// Allocate an MSHR; stall issue if none free.
-					if c.mshrFree.n >= mshrs {
-						if t := c.mshrFree.min(); t > issue {
-							issue = t
-						}
-						c.mshrFree.popMin()
-					}
-					complete = issue + uint64(r.Latency)
-					c.mshrFree.push(complete)
-					c.outstanding.Put(line, complete)
-					if complete < c.outMin {
-						c.outMin = complete
-					}
-					if c.outstanding.Len() > c.pruneLen && c.outMin <= ready {
-						c.pruneOutstanding(ready)
-					}
-				} else {
-					complete = issue + uint64(r.Latency)
-				}
-			}
-			if ins.Kind == workload.KindStore {
-				// Stores retire through the store buffer; they occupy the
-				// MSHR (modeled above) but do not stall dependents.
-				complete = ready + 1
-			}
-		case workload.KindBranch:
-			complete = ready + uint64(ins.Lat)
-			st.BrLookups++
-			if !c.BP.PredictAndUpdate(ins.PC, ins.Taken) {
-				st.BrMispred++
-				// Front end squashed until the branch resolves.
-				if r := complete + c.Cfg.MispredictPenalty; r > c.fetchStall {
-					c.fetchStall = r
-				}
-			}
-		default:
-			complete = ready + uint64(ins.Lat)
-		}
-
-		c.completion[slot] = complete
-		if slot++; slot == c.Cfg.ROB {
-			slot = 0
-		}
-		c.robSlot = slot
-		if complete > c.maxComplete {
-			c.maxComplete = complete
-		}
-	}
-	end := c.cycle
-	if c.maxComplete > end {
-		end = c.maxComplete
-	}
-	st.Cycles = end - startCycle
-	// Advance the dispatch clock so the next interval starts after this
-	// interval's critical path.
-	c.cycle = end
-	return st
-}
-
-// RunBatch executes n instructions of prog through the timing model by
-// decoding the whole quantum into b (caller-owned scratch, reset here) with
-// one FillInstrBatch call and timing it in a second pass. It is the batched
-// sibling of Run, exactly as AccessBatch is to Access: statistics, cache
-// and predictor state, and the in-flight-miss bookkeeping are bit-identical
-// to Run(prog, n) — pinned by TestRunBatchMatchesRun — and Run survives as
-// the per-instruction test oracle. The split is legal because instruction
-// generation is open loop: the program stream never depends on timing
-// state, so decoding a quantum ahead of timing it observes nothing
-// different.
+// RunBatch executes n instructions of prog through the timing model and
+// returns the interval's statistics. Microarchitectural state (caches,
+// predictor, in-flight misses) persists across calls. The interval is
+// decoded in chunks of at most workload.ChunkLen instructions into b
+// (caller-owned scratch, reset here, so it never grows past one chunk) and
+// each chunk is timed before the next is decoded; the whole call is still
+// one interval with one drain at the end. Decoding ahead of timing is legal
+// because instruction generation is open loop: the program stream never
+// depends on timing state. Statistics and all state are bit-identical to
+// the per-instruction oracle loop kept in the tests (TestRunBatchMatchesRun).
 //
-// Two things make the batched pass faster beyond the decode specialization:
-// the hot scheduling state (cycle, width, ROB head) lives in locals across
-// the quantum instead of core fields, and the per-instruction I-fetch is
+// The hot scheduling state (cycle, width, ROB head) lives in locals across
+// the call instead of core fields, and the per-instruction I-fetch is
 // hoisted behind a fetch-line memo. The memo is exact, not approximate:
 // consecutive instructions on one fetch line cannot miss — the first fetch
 // left the line resident (hit or install) and most recently used, and
-// nothing else touches the private L1I inside the batch — so the memo
+// nothing else touches the private L1I inside the call — so the memo
 // replays the hit's state updates (tick, recency, hit count) on the
 // remembered way via cache.Touch instead of re-running the lookup. The memo
-// is local to one call: it resets every batch, so state mutated between
-// batches (a Run interleaved on the same core, functional I-side warming)
-// cannot invalidate it.
+// is local to one call, so state mutated between calls (functional I-side
+// warming) cannot invalidate it.
 func (c *Core) RunBatch(prog *workload.Program, n uint64, b *workload.InstrBatch) Stats {
 	var st Stats
 	st.Instructions = n
-	instrBase := prog.InstrIndex()
-	memIdx := prog.MemIndex()
-	b.Reset()
-	prog.FillInstrBatch(n, b)
 
 	mshrs := c.mshrs
 	hier := c.Hier
@@ -405,162 +257,151 @@ func (c *Core) RunBatch(prog *workload.Program, n uint64, b *workload.InstrBatch
 	lastLine := mem.Line(0)
 	lastWay := -1
 
-	batch := *b
-	nBatch := len(batch)
-	var pfSink uint64
-	for k := range batch {
-		ins := &batch[k]
+	for left := n; left > 0; {
+		k := min(left, workload.ChunkLen)
+		left -= k
+		instrBase := prog.InstrIndex()
+		memIdx := prog.MemIndex()
+		b.Reset()
+		prog.FillInstrBatch(k, b)
+		batch := *b
+		for i := range batch {
+			ins := &batch[i]
 
-		// Software prefetch: the whole quantum is decoded up front, so the
-		// L1D set of the memory access PrefetchDist instructions ahead is
-		// known now — prime its metadata while this instruction is timed.
-		// State-free (PrefetchSet mutates nothing), so timing bits cannot
-		// move; pfSink defeats dead-code elimination via cache.KeepLoads.
-		// Compiled out at PrefetchDist = 0: the hint lost its A/B at every
-		// distance and placement tried (see the constant in internal/cache).
-		if cache.PrefetchDist > 0 {
-			if j := k + cache.PrefetchDist; j < nBatch {
-				// Branchless mem-op test: Load and Store are adjacent kinds.
-				if nxt := &batch[j]; nxt.Kind-workload.KindLoad <= 1 {
-					pfSink += l1d.PrefetchSet(mem.LineOf(nxt.Addr))
-				}
+			// Front end: width, redirect and ROB constraints.
+			widthCount++
+			if widthCount >= width {
+				widthCount = 0
+				cycle++
 			}
-		}
-
-		// Front end: width, redirect and ROB constraints.
-		widthCount++
-		if widthCount >= width {
-			widthCount = 0
-			cycle++
-		}
-		if fetchStall > cycle {
-			cycle = fetchStall
-			widthCount = 0
-		}
-		// Instruction fetch, memoized per fetch line (guaranteed L1I hits
-		// replay through Touch; see the function comment).
-		if ins.FetchLine == lastLine && lastWay >= 0 {
-			l1i.Touch(lastWay)
-		} else {
-			if fl := hier.AccessInstr(ins.FetchLine); fl > l1iHitLat {
-				cycle += uint64(fl - l1iHitLat)
+			if fetchStall > cycle {
+				cycle = fetchStall
+				widthCount = 0
 			}
-			lastLine = ins.FetchLine
-			lastWay = l1i.WayIndexOf(ins.FetchLine)
-		}
-		// ROB: cannot dispatch past the completion of the instruction that
-		// frees our slot.
-		if completion[slot] > cycle {
-			cycle = completion[slot]
-			widthCount = 0
-		}
-		dispatch := cycle
-
-		// Register dependence.
-		ready := dispatch
-		dep := int(ins.DepDist)
-		if dep >= 1 && dep <= rob {
-			prodSlot := slot - dep
-			if prodSlot < 0 {
-				prodSlot += rob
-			}
-			if t := completion[prodSlot]; t > ready {
-				ready = t
-			}
-		}
-
-		var complete uint64
-		switch ins.Kind {
-		case workload.KindLoad, workload.KindStore:
-			st.MemAccesses++
-			line := mem.LineOf(ins.Addr)
-			// Drain MSHRs whose miss has returned.
-			for c.mshrFree.n > 0 && c.mshrFree.min() <= ready {
-				c.mshrFree.popMin()
-			}
-			if t, inFlight := c.outstanding.Get(line); inFlight && t > ready {
-				// Delayed hit: coalesce onto the existing MSHR.
-				st.MSHRHits++
-				complete = t
+			// Instruction fetch, memoized per fetch line (guaranteed L1I hits
+			// replay through Touch; see the function comment).
+			if ins.FetchLine == lastLine && lastWay >= 0 {
+				l1i.Touch(lastWay)
 			} else {
-				if inFlight {
-					c.outstanding.Delete(line)
+				if fl := hier.AccessInstr(ins.FetchLine); fl > l1iHitLat {
+					cycle += uint64(fl - l1iHitLat)
 				}
-				// Inlined L1D-hit fast path: replays exactly AccessData's
-				// hit half (access count, L1D lookup) without building the
-				// access record — the record only feeds the miss tail
-				// (oracle, prefetcher), which AccessDataMiss runs.
-				hier.DataAccesses++
-				if out, _, _ := l1d.Lookup(line); out == cache.Hit {
-					st.L1DHits++
-					complete = ready + l1dHitLat
-				} else {
-					c.acc = mem.Access{PC: ins.PC, Addr: ins.Addr,
-						Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrBase + uint64(k)}
-					r := hier.AccessDataMiss(&c.acc, line)
-					if r.WarmingHit {
-						st.WarmingHits++
-					}
-					switch r.Served {
-					case cache.LevelL1:
-						st.L1DHits++
-					case cache.LevelLLC:
-						st.LLCHits++
-					default:
-						st.MemServed++
-					}
-					issue := ready
-					if r.Served != cache.LevelL1 {
-						// Allocate an MSHR; stall issue if none free.
-						if c.mshrFree.n >= mshrs {
-							if t := c.mshrFree.min(); t > issue {
-								issue = t
-							}
-							c.mshrFree.popMin()
-						}
-						complete = issue + uint64(r.Latency)
-						c.mshrFree.push(complete)
-						c.outstanding.Put(line, complete)
-						if complete < c.outMin {
-							c.outMin = complete
-						}
-						if c.outstanding.Len() > c.pruneLen && c.outMin <= ready {
-							c.pruneOutstanding(ready)
-						}
-					} else {
-						complete = issue + uint64(r.Latency)
-					}
-				}
+				lastLine = ins.FetchLine
+				lastWay = l1i.WayIndexOf(ins.FetchLine)
 			}
-			memIdx++
-			if ins.Kind == workload.KindStore {
-				// Stores retire through the store buffer; they occupy the
-				// MSHR (modeled above) but do not stall dependents.
-				complete = ready + 1
+			// ROB: cannot dispatch past the completion of the instruction that
+			// frees our slot.
+			if completion[slot] > cycle {
+				cycle = completion[slot]
+				widthCount = 0
 			}
-		case workload.KindBranch:
-			complete = ready + uint64(ins.Lat)
-			st.BrLookups++
-			if !c.BP.PredictAndUpdate(ins.PC, ins.Taken) {
-				st.BrMispred++
-				// Front end squashed until the branch resolves.
-				if r := complete + c.Cfg.MispredictPenalty; r > fetchStall {
-					fetchStall = r
-				}
-			}
-		default:
-			complete = ready + uint64(ins.Lat)
-		}
+			dispatch := cycle
 
-		completion[slot] = complete
-		if slot++; slot == rob {
-			slot = 0
-		}
-		if complete > maxComplete {
-			maxComplete = complete
+			// Register dependence.
+			ready := dispatch
+			dep := int(ins.DepDist)
+			if dep >= 1 && dep <= rob {
+				prodSlot := slot - dep
+				if prodSlot < 0 {
+					prodSlot += rob
+				}
+				if t := completion[prodSlot]; t > ready {
+					ready = t
+				}
+			}
+
+			var complete uint64
+			switch ins.Kind {
+			case workload.KindLoad, workload.KindStore:
+				st.MemAccesses++
+				line := mem.LineOf(ins.Addr)
+				// Drain MSHRs whose miss has returned.
+				for c.mshrFree.n > 0 && c.mshrFree.min() <= ready {
+					c.mshrFree.popMin()
+				}
+				if t, inFlight := c.outstanding.Get(line); inFlight && t > ready {
+					// Delayed hit: coalesce onto the existing MSHR.
+					st.MSHRHits++
+					complete = t
+				} else {
+					if inFlight {
+						c.outstanding.Delete(line)
+					}
+					// Inlined L1D-hit fast path: replays exactly AccessData's
+					// hit half (access count, L1D lookup) without building the
+					// access record — the record only feeds the miss tail
+					// (oracle, prefetcher), which AccessDataMiss runs.
+					hier.DataAccesses++
+					if out, _, _ := l1d.Lookup(line); out == cache.Hit {
+						st.L1DHits++
+						complete = ready + l1dHitLat
+					} else {
+						c.acc = mem.Access{PC: ins.PC, Addr: ins.Addr,
+							Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrBase + uint64(i)}
+						r := hier.AccessDataMiss(&c.acc, line)
+						if r.WarmingHit {
+							st.WarmingHits++
+						}
+						switch r.Served {
+						case cache.LevelL1:
+							st.L1DHits++
+						case cache.LevelLLC:
+							st.LLCHits++
+						default:
+							st.MemServed++
+						}
+						issue := ready
+						if r.Served != cache.LevelL1 {
+							// Allocate an MSHR; stall issue if none free.
+							if c.mshrFree.n >= mshrs {
+								if t := c.mshrFree.min(); t > issue {
+									issue = t
+								}
+								c.mshrFree.popMin()
+							}
+							complete = issue + uint64(r.Latency)
+							c.mshrFree.push(complete)
+							c.outstanding.Put(line, complete)
+							if complete < c.outMin {
+								c.outMin = complete
+							}
+							if c.outstanding.Len() > c.pruneLen && c.outMin <= ready {
+								c.pruneOutstanding(ready)
+							}
+						} else {
+							complete = issue + uint64(r.Latency)
+						}
+					}
+				}
+				memIdx++
+				if ins.Kind == workload.KindStore {
+					// Stores retire through the store buffer; they occupy the
+					// MSHR (modeled above) but do not stall dependents.
+					complete = ready + 1
+				}
+			case workload.KindBranch:
+				complete = ready + uint64(ins.Lat)
+				st.BrLookups++
+				if !c.BP.PredictAndUpdate(ins.PC, ins.Taken) {
+					st.BrMispred++
+					// Front end squashed until the branch resolves.
+					if r := complete + c.Cfg.MispredictPenalty; r > fetchStall {
+						fetchStall = r
+					}
+				}
+			default:
+				complete = ready + uint64(ins.Lat)
+			}
+
+			completion[slot] = complete
+			if slot++; slot == rob {
+				slot = 0
+			}
+			if complete > maxComplete {
+				maxComplete = complete
+			}
 		}
 	}
-	cache.KeepLoads(pfSink)
 	end := cycle
 	if maxComplete > end {
 		end = maxComplete
@@ -583,7 +424,7 @@ func (c *Core) RunBatch(prog *workload.Program, n uint64, b *workload.InstrBatch
 // for a delayed hit at a later access whose ready cycle dips below t, so
 // changing when or what this prunes shifts golden figures (measured: lbm's
 // Fig 14 CPI moves in the fourth digit under a dispatch-cycle predicate).
-// Both engines (Run and RunBatch) therefore share this exact policy.
+// RunBatch and its per-instruction test oracle share this exact policy.
 //
 // What IS free is skipping a prune that would remove nothing — the table is
 // unchanged either way. The callers' outMin guard exploits that: outMin is

@@ -173,7 +173,7 @@ func controlPayloads(t *testing.T, bodies [][]byte) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(lab.NewServer(eng, store).Handler())
+	ts := httptest.NewServer(lab.NewServerOpts(eng, store, lab.Options{}).Handler())
 	defer ts.Close()
 	out := make(map[string][]byte)
 	deadline := time.Now().Add(120 * time.Second)

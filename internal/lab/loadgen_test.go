@@ -15,7 +15,7 @@ func TestRunLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(lab.NewServer(eng, store).Handler())
+	ts := httptest.NewServer(lab.NewServerOpts(eng, store, lab.Options{}).Handler())
 	defer ts.Close()
 
 	rep, err := lab.RunLoad(lab.LoadConfig{

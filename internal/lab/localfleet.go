@@ -73,7 +73,11 @@ func StartLocalFleet(n int, o LocalFleetOptions) (*LocalFleet, error) {
 				peers = append(peers, u)
 			}
 		}
-		eng, st, err := NewFleetEngine(o.Workers, o.StoreDir(i), o.StoreMaxBytes, peers, o.FetchTimeout)
+		// A fleet node needs a store: the peer tier is an artifact tier.
+		eng, st, err := NewEngine(o.Workers, o.StoreDir(i), o.StoreMaxBytes)
+		if err == nil && st == nil {
+			err = fmt.Errorf("lab: LocalFleetOptions.StoreDir(%d) is empty", i)
+		}
 		if err != nil {
 			for _, ln := range lns {
 				ln.Close()
@@ -81,6 +85,7 @@ func StartLocalFleet(n int, o LocalFleetOptions) (*LocalFleet, error) {
 			f.Close()
 			return nil, err
 		}
+		st.AttachPeers(artifact.NewPeerBlob(peers, artifact.PeerOptions{Timeout: o.FetchTimeout}))
 		opts := o.Opts
 		opts.Fleet = FleetConfig{Self: urls[i], Peers: peers, StealDepth: o.Opts.Fleet.StealDepth}
 		sv := NewServerOpts(eng, st, opts)

@@ -54,24 +54,6 @@ func NewEngine(workers int, storeDir string, storeMaxBytes int64) (*runner.Engin
 	return eng, st, nil
 }
 
-// NewFleetEngine is NewEngine plus the fleet's artifact tier: the store
-// gets a peer-HTTP read-through backend over the given base URLs, so a
-// local miss is retried against the fleet (integrity re-verified, then
-// persisted locally) before the engine recomputes. Fleet mode requires a
-// store — the peer tier is an artifact tier, and a node with nothing to
-// serve would be a freeloader that also re-executes everything.
-func NewFleetEngine(workers int, storeDir string, storeMaxBytes int64, peers []string, fetchTimeout time.Duration) (*runner.Engine, *artifact.Store, error) {
-	if storeDir == "" {
-		return nil, nil, fmt.Errorf("fleet mode requires an artifact store (-store)")
-	}
-	eng, st, err := NewEngine(workers, storeDir, storeMaxBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	st.AttachPeers(artifact.NewPeerBlob(peers, artifact.PeerOptions{Timeout: fetchTimeout}))
-	return eng, st, nil
-}
-
 // ProgressPrinter returns the standard per-job progress line writer the
 // CLIs install as Engine.OnProgress.
 func ProgressPrinter(w io.Writer) func(runner.Progress) {
@@ -242,14 +224,9 @@ type Server struct {
 	subs      map[chan runner.Progress]bool
 }
 
-// NewServer wires a lab service with default Options over an engine (and
-// its optional store, which may be nil — artifacts are then served from
-// memory only).
-func NewServer(eng *runner.Engine, store *artifact.Store) *Server {
-	return NewServerOpts(eng, store, Options{})
-}
-
-// NewServerOpts is NewServer with explicit production options.
+// NewServerOpts wires a lab service over an engine and its optional store
+// (nil: artifacts are served from memory only); the zero Options select
+// the production defaults.
 func NewServerOpts(eng *runner.Engine, store *artifact.Store, opts Options) *Server {
 	s := &Server{eng: eng, store: store, opts: opts.withDefaults(),
 		sem:  make(chan struct{}, runner.PoolSize(eng.Workers)),

@@ -84,7 +84,7 @@ func TestServiceLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(lab.NewServer(eng, store).Handler())
+	ts := httptest.NewServer(lab.NewServerOpts(eng, store, lab.Options{}).Handler())
 	defer ts.Close()
 	body := shortSpec(t)
 
@@ -136,7 +136,7 @@ func TestServiceLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(lab.NewServer(eng2, store2).Handler())
+	ts2 := httptest.NewServer(lab.NewServerOpts(eng2, store2, lab.Options{}).Handler())
 	defer ts2.Close()
 	st2 := postSpec(t, ts2, body)
 	fin2 := waitDone(t, ts2, st2.Key)
@@ -192,7 +192,7 @@ func TestStatusSurfacesStoreCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(lab.NewServer(eng, store).Handler())
+	ts := httptest.NewServer(lab.NewServerOpts(eng, store, lab.Options{}).Handler())
 	defer ts.Close()
 	waitDone(t, ts, postSpec(t, ts, body).Key)
 
@@ -213,7 +213,7 @@ func TestStatusSurfacesStoreCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(lab.NewServer(eng2, store2).Handler())
+	ts2 := httptest.NewServer(lab.NewServerOpts(eng2, store2, lab.Options{}).Handler())
 	defer ts2.Close()
 	waitDone(t, ts2, postSpec(t, ts2, body).Key)
 	if hits := asUint(getStatus(ts2), "hits"); hits == 0 {
@@ -224,7 +224,7 @@ func TestStatusSurfacesStoreCounters(t *testing.T) {
 // TestServiceRejectsBadSpecs: the strict decode gate is wired in.
 func TestServiceRejectsBadSpecs(t *testing.T) {
 	eng, _, _ := lab.NewEngine(1, "", 0)
-	ts := httptest.NewServer(lab.NewServer(eng, nil).Handler())
+	ts := httptest.NewServer(lab.NewServerOpts(eng, nil, lab.Options{}).Handler())
 	defer ts.Close()
 	for _, body := range []string{
 		`{"kind":"nope","params":{}}`,
@@ -245,7 +245,7 @@ func TestServiceRejectsBadSpecs(t *testing.T) {
 // TestServiceEvents: the NDJSON event stream reports the job's completion.
 func TestServiceEvents(t *testing.T) {
 	eng, _, _ := lab.NewEngine(2, "", 0)
-	ts := httptest.NewServer(lab.NewServer(eng, nil).Handler())
+	ts := httptest.NewServer(lab.NewServerOpts(eng, nil, lab.Options{}).Handler())
 	defer ts.Close()
 
 	st := postSpec(t, ts, shortSpec(t))

@@ -10,12 +10,13 @@ import (
 
 // referenceCoRun replays CoSim.Run's exact schedule — instruction-quota
 // warm-up, alignment to the slowest clock, common-horizon measurement,
-// min-cycle selection with ties by index — through the per-instruction
-// cpu.Core.Run oracle over a manually built shared hierarchy. It is the
-// engine CoSim had before quanta were fed to RunBatch, kept here as the
-// test oracle for the whole batched co-run path (engine + scheduler).
+// min-cycle selection with ties by index — over a manually built shared
+// hierarchy, one plain RunBatch call per quantum. It is the scheduler
+// oracle for the co-run path; the per-instruction timing half lives in
+// cpu.TestRunBatchMatchesRun's shared-LLC case.
 func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 	hiers := cache.NewSharedHierarchy(cfg.HierConfig(), len(profs))
+	var batch workload.InstrBatch
 	type app struct {
 		prog   *workload.Program
 		core   *cpu.Core
@@ -53,7 +54,7 @@ func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 				n = rem
 			}
 			a := apps[best]
-			a.cycles += a.core.Run(a.prog, n).Cycles
+			a.cycles += a.core.RunBatch(a.prog, n, &batch).Cycles
 			warmed[best] += n
 		}
 	}
@@ -69,7 +70,7 @@ func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 			break
 		}
 		a := apps[best]
-		a.cycles += a.core.Run(a.prog, q).Cycles
+		a.cycles += a.core.RunBatch(a.prog, q, &batch).Cycles
 	}
 	horizon := start + cfg.MeasureCycles
 	for {
@@ -78,7 +79,7 @@ func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 			break
 		}
 		a := apps[best]
-		st := a.core.Run(a.prog, q)
+		st := a.core.RunBatch(a.prog, q, &batch)
 		a.cycles += st.Cycles
 		a.meas.Add(st)
 	}
@@ -89,10 +90,10 @@ func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 	return out
 }
 
-// TestCoSimBatchedMatchesPerInstrOracle: the batched co-run engine must be
-// bit-identical to the per-instruction reference across every validation
-// mix (the "co-run mixes" half of the RunBatch oracle gate; the per-profile
-// half lives in cpu.TestRunBatchMatchesRun).
+// TestCoSimBatchedMatchesPerInstrOracle: the co-run engine must be
+// bit-identical to the reference schedule across every validation mix (the
+// "co-run mixes" half of the RunBatch oracle gate; the per-instruction half
+// lives in cpu.TestRunBatchMatchesRun).
 func TestCoSimBatchedMatchesPerInstrOracle(t *testing.T) {
 	for mixName, profs := range validationMixes() {
 		cfg := coTestConfig(64)
@@ -100,7 +101,7 @@ func TestCoSimBatchedMatchesPerInstrOracle(t *testing.T) {
 		want := referenceCoRun(profs, cfg)
 		for i, a := range got.Apps {
 			if a.Stats != want[i] {
-				t.Errorf("%s app %d (%s): batched engine diverges from per-instruction oracle:\nbatched %+v\noracle  %+v",
+				t.Errorf("%s app %d (%s): co-run engine diverges from the reference schedule:\nbatched %+v\noracle  %+v",
 					mixName, i, a.Name, a.Stats, want[i])
 			}
 		}

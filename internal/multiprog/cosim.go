@@ -133,8 +133,9 @@ type CoSim struct {
 	Cfg  CoSimConfig
 	apps []*coApp
 	// batch is the shared instruction-decode scratch handed to RunBatch —
-	// sized once for a full quantum, so the steady-state quantum loop never
-	// allocates (the AllocsPerRun gate in cosim_test pins this at 0).
+	// sized once for a full quantum or chunk, whichever is smaller, so the
+	// steady-state quantum loop never allocates (the AllocsPerRun gate in
+	// cosim_test pins this at 0).
 	batch workload.InstrBatch
 	// warmed is the warm-up phase's per-app instruction-quota scratch.
 	warmed []uint64
@@ -156,7 +157,7 @@ func NewCoSim(profs []*workload.Profile, cfg CoSimConfig) *CoSim {
 	hiers := cache.NewSharedHierarchy(cfg.HierConfig(), len(profs))
 	cs := &CoSim{
 		Cfg:   cfg,
-		batch: make(workload.InstrBatch, 0, cfg.quantum()),
+		batch: make(workload.InstrBatch, 0, min(cfg.quantum(), workload.ChunkLen)),
 		// The warm-up quota scratch is written every quantum; rounding its
 		// capacity up to 8 words puts the backing array in the 64-byte malloc
 		// class (one full host line) instead of a shared tiny-object slot, so
@@ -384,16 +385,12 @@ func ProfileSolo(prof *workload.Profile, cfg CoSimConfig) SoloProfile {
 	mon := reuse.NewExactMonitor()
 	hist := &stats.RDHist{}
 	span := cfg.WarmupInstr + cfg.MeasureCycles
-	const chunk = 8192
-	batch := make(mem.Batch, 0, chunk)
+	batch := make(mem.Batch, 0, workload.ChunkLen)
 	for done := uint64(0); done < span; {
 		if cfg.Cancelled() {
 			break // partial; the caller discards it via its context error
 		}
-		n := span - done
-		if n > chunk {
-			n = chunk
-		}
+		n := min(span-done, workload.ChunkLen)
 		batch.Reset()
 		prog.FillBatch(n, &batch)
 		mon.ObserveHist(batch, hist, cfg.WarmupInstr)

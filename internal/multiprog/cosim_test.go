@@ -154,20 +154,21 @@ func TestCoSimSoloMatchesSingleProgram(t *testing.T) {
 	hier := cache.NewHierarchy(cfg.HierConfig(), nil)
 	core := cpu.NewCore(cfg.CPU, hier, nil)
 	prog := prof.NewProgram(cfg.Scale)
+	var batch workload.InstrBatch
 	var cycles uint64
 	for warmed := uint64(0); warmed < cfg.WarmupInstr; {
 		n := cfg.Quantum
 		if rem := cfg.WarmupInstr - warmed; rem < n {
 			n = rem
 		}
-		st := core.Run(prog, n)
+		st := core.RunBatch(prog, n, &batch)
 		cycles += st.Cycles
 		warmed += n
 	}
 	horizon := cycles + cfg.MeasureCycles
 	var meas cpu.Stats
 	for cycles < horizon {
-		st := core.Run(prog, cfg.Quantum)
+		st := core.RunBatch(prog, cfg.Quantum, &batch)
 		cycles += st.Cycles
 		meas.Add(st)
 	}

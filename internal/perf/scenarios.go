@@ -318,7 +318,7 @@ func LabdLoad() Scenario {
 			if err != nil {
 				panic(err)
 			}
-			ts := httptest.NewServer(lab.NewServer(eng, store).Handler())
+			ts := httptest.NewServer(lab.NewServerOpts(eng, store, lab.Options{}).Handler())
 			return func() uint64 {
 				rep, err := lab.RunLoad(lab.LoadConfig{
 					BaseURL: ts.URL, Requests: requests, Clients: clients, Unique: unique, Seed: 42,

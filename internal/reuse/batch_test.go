@@ -49,10 +49,10 @@ func TestExactMonitorMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestObserveBatchMatchesObserve pins the batched observation APIs to the
-// per-access one: ObserveBatch samples and ObserveHist histograms must be
-// bit-identical to an Observe loop.
-func TestObserveBatchMatchesObserve(t *testing.T) {
+// TestObserveHistMatchesObserve pins the fused batched observation to the
+// per-access one: ObserveHist histograms must be bit-identical to an
+// Observe loop.
+func TestObserveHistMatchesObserve(t *testing.T) {
 	prog := workload.GemsFDTD().NewProgram(64)
 	var batch mem.Batch
 	prog.FillBatch(200_000, &batch)
@@ -60,10 +60,8 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 
 	ref := NewExactMonitor()
 	wantHist := &stats.RDHist{}
-	var want []Sample
 	for i := range batch {
 		d, s := ref.Observe(&batch[i])
-		want = append(want, Sample{Dist: d, Seen: s})
 		if batch[i].InstrIdx < minInstr {
 			continue
 		}
@@ -71,17 +69,6 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 			wantHist.Add(d)
 		} else {
 			wantHist.AddCold(1)
-		}
-	}
-
-	mb := NewExactMonitor()
-	got := mb.ObserveBatch(batch, nil)
-	if len(got) != len(want) {
-		t.Fatalf("%d batched samples, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, got[i], want[i])
 		}
 	}
 
@@ -97,40 +84,6 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	}
 	if *gotHist != *wantHist {
 		t.Fatalf("ObserveHist diverged: %v vs %v", gotHist, wantHist)
-	}
-}
-
-// TestKeyCollectorObserveBatch pins the batched trigger path to the
-// per-access one.
-func TestKeyCollectorObserveBatch(t *testing.T) {
-	prog := workload.Perlbench().NewProgram(64)
-	var batch mem.Batch
-	prog.FillBatch(50_000, &batch)
-	var keys []KeySpec
-	seen := map[mem.Line]bool{}
-	for i := range batch {
-		if l := batch[i].Line(); !seen[l] && len(keys) < 64 {
-			seen[l] = true
-			keys = append(keys, KeySpec{Line: l, FirstMem: 1 << 40})
-		}
-	}
-
-	ka := NewKeyCollector(keys)
-	for i := range batch {
-		ka.Observe(&batch[i])
-	}
-	kb := NewKeyCollector(keys)
-	kb.ObserveBatch(batch)
-
-	fa, ma := ka.Finalize(2)
-	fb, mb := kb.Finalize(2)
-	if len(fa) != len(fb) || len(ma) != len(mb) {
-		t.Fatalf("finalize shapes differ: (%d,%d) vs (%d,%d)", len(fb), len(mb), len(fa), len(ma))
-	}
-	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, fb[i], fa[i])
-		}
 	}
 }
 

@@ -49,23 +49,6 @@ func (m *ExactMonitor) ObserveLine(l mem.Line, memIdx uint64) (dist uint64, seen
 	return memIdx - prev, true
 }
 
-// Sample is one batched monitor observation.
-type Sample struct {
-	Dist uint64
-	Seen bool
-}
-
-// ObserveBatch observes every access of b in order, appending one Sample
-// per access to out (reused across windows; pass out[:0]). Results are
-// bit-identical to calling Observe per record.
-func (m *ExactMonitor) ObserveBatch(b mem.Batch, out []Sample) []Sample {
-	for i := range b {
-		d, s := m.ObserveLine(b[i].Line(), b[i].MemIdx)
-		out = append(out, Sample{Dist: d, Seen: s})
-	}
-	return out
-}
-
 // ObserveHist observes every access of b in order, accumulating each
 // distance straight into hist — the fused monitor→histogram stage of the
 // batched pipeline, which skips materializing per-access Samples when the
@@ -136,13 +119,6 @@ func NewKeyCollector(keys []KeySpec) *KeyCollector {
 // Observe records a true-positive watchpoint trigger on a key line.
 func (k *KeyCollector) Observe(a *mem.Access) {
 	k.last.Put(a.Line(), a.MemIdx)
-}
-
-// ObserveBatch records a batch of true-positive triggers in order.
-func (k *KeyCollector) ObserveBatch(b mem.Batch) {
-	for i := range b {
-		k.last.Put(b[i].Line(), b[i].MemIdx)
-	}
 }
 
 // Finalize converts observations into key records. Lines never observed

@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -296,7 +297,7 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 	e.misses++
 	e.executions++
 	e.mu.Unlock()
-	ent.val, ent.err = s.Run(boundSub{e: e, ctx: ctx})
+	ent.val, ent.err = execute(s, key, boundSub{e: e, ctx: ctx})
 	if ent.err == nil && e.Store != nil {
 		e.Store.Save(s.Kind(), key, ent.val)
 	}
@@ -317,6 +318,20 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 	}
 	e.progress(s, key, total, done, false, false, time.Since(start))
 	return ent.val, ent.err
+}
+
+// execute runs s, turning a panic in its executor into an error that
+// carries the spec's kind, key and stack. The caller's error path then
+// fails the job, evicts the entry and wakes its single-flight waiters,
+// instead of the panic killing the process with the waiters stranded.
+// Panics on goroutines the executor starts itself are not caught here.
+func execute(s Spec, key string, sub Sub) (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, err = nil, fmt.Errorf("runner: %s spec %s panicked: %v\n%s", s.Kind(), key, r, debug.Stack())
+		}
+	}()
+	return s.Run(sub)
 }
 
 func (e *Engine) progress(s Spec, key string, total int, done *int, cached, fromStore bool, d time.Duration) {

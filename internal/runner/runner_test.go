@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -292,6 +294,63 @@ func TestErrorSharedBySingleFlightWaiters(t *testing.T) {
 	}}
 	if v, err := eng.RunSpec(okSpec); err != nil || v != 42 {
 		t.Fatalf("retry after shared failure: v=%v err=%v", v, err)
+	}
+}
+
+// TestExecutorPanicFailsJob: a panicking executor fails its job with an
+// error naming the spec kind, key and stack; a concurrent single-flight
+// waiter on the key returns the same error instead of hanging; and a
+// resubmit executes again.
+func TestExecutorPanicFailsJob(t *testing.T) {
+	var execs int32
+	release := make(chan struct{})
+	sp := fnSpec{key: "panicky", exec: func(runner.Sub) (any, error) {
+		if atomic.AddInt32(&execs, 1) == 1 {
+			<-release
+			var m map[string]int
+			m["boom"]++ // nil-map write: a runtime panic
+		}
+		return "recovered", nil
+	}}
+	eng := runner.New(2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs[0] = eng.RunSpec(sp)
+	}()
+	for atomic.LoadInt32(&execs) == 0 {
+		runtime.Gosched()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs[1] = eng.RunSpec(sp)
+	}()
+	for {
+		if hits, _ := eng.CacheStats(); hits == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("caller %d: no error from a panicking executor", i)
+		}
+		for _, want := range []string{"test", "panicky", "assignment to entry in nil map", "runner_test.go"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("caller %d: error lacks %q:\n%v", i, want, err)
+			}
+		}
+	}
+	if v, err := eng.RunSpec(sp); err != nil || v != "recovered" {
+		t.Fatalf("resubmit after panic: v=%v err=%v", v, err)
+	}
+	if n := atomic.LoadInt32(&execs); n != 2 {
+		t.Errorf("executed %d times, want 2 (panic, then resubmit)", n)
 	}
 }
 

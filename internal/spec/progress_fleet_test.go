@@ -83,7 +83,7 @@ func TestStolenCellResumesFromPeerProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(lab.NewServer(srvEng, srvStore).Handler())
+	ts := httptest.NewServer(lab.NewServerOpts(srvEng, srvStore, lab.Options{}).Handler())
 	defer ts.Close()
 
 	// Node B: empty local store, A as its peer tier.

@@ -204,6 +204,9 @@ type Engine struct {
 	Index *workload.Index
 
 	sampleCount uint64
+	// Decode scratch of RunFunc and RunVDP, at most one chunk each.
+	instrs workload.InstrBatch
+	accs   mem.Batch
 }
 
 // NewEngine wraps prog with a fresh ledger.
@@ -241,21 +244,32 @@ func (e *Engine) FastForwardTo(to uint64) {
 }
 
 // RunFunc executes n instructions under functional simulation, invoking h
-// for each (cacheSim selects the slower functional-warming rate).
+// for each in program order (cacheSim selects the slower functional-warming
+// rate). The span is decoded chunk by chunk through FillInstrBatch into the
+// engine's scratch; generation is open loop, so decoding a chunk before
+// its handler calls changes nothing a handler sees, provided handlers take
+// stream positions from the access record (MemIdx, InstrIdx), never from
+// e.Prog, which is already at the chunk's end.
 func (e *Engine) RunFunc(n uint64, cacheSim bool, h InstrHandler) {
-	var ins workload.Instr
 	var a mem.Access
-	for i := uint64(0); i < n; i++ {
-		memIdx := e.Prog.MemIndex()
+	for left := n; left > 0; {
+		k := min(left, workload.ChunkLen)
 		instrIdx := e.Prog.InstrIndex()
-		e.Prog.Next(&ins)
-		if ins.Kind == workload.KindLoad || ins.Kind == workload.KindStore {
-			a = mem.Access{PC: ins.PC, Addr: ins.Addr,
-				Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrIdx}
-			h(&ins, &a)
-		} else {
-			h(&ins, nil)
+		memIdx := e.Prog.MemIndex()
+		e.instrs.Reset()
+		e.Prog.FillInstrBatch(k, &e.instrs)
+		for i := range e.instrs {
+			ins := &e.instrs[i]
+			if ins.Kind == workload.KindLoad || ins.Kind == workload.KindStore {
+				a = mem.Access{PC: ins.PC, Addr: ins.Addr,
+					Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrIdx + uint64(i)}
+				memIdx++
+				h(ins, &a)
+			} else {
+				h(ins, nil)
+			}
 		}
+		left -= k
 	}
 	if cacheSim {
 		e.charge(KindFuncCache, float64(n))
@@ -266,48 +280,57 @@ func (e *Engine) RunFunc(n uint64, cacheSim bool, h InstrHandler) {
 
 // RunVDP executes n instructions under virtualized directed profiling.
 // Execution proceeds at near-native speed; each access to a watched page
-// and each sampling stop is charged a trigger cost.
+// and each sampling stop is charged a trigger cost. The span is decoded
+// chunk by chunk through FillBatch; the watchpoint and sampling checks run
+// per record in program order, so a handler that arms or disarms a
+// watchpoint affects the very next access, exactly as a per-instruction
+// loop would. The sampling interval counts every instruction: a record
+// advances it by its distance from the previous one, and the chunk's
+// trailing non-memory instructions carry over to the next chunk and call.
 func (e *Engine) RunVDP(n uint64, cfg *VDPConfig) {
-	var ins workload.Instr
-	var a mem.Access
 	var triggers, falsePos, sampleStops float64
-	for i := uint64(0); i < n; i++ {
-		memIdx := e.Prog.MemIndex()
-		instrIdx := e.Prog.InstrIndex()
-		e.Prog.Next(&ins)
-		if cfg.SampleEvery > 0 {
-			e.sampleCount++
-		}
-		if ins.Kind != workload.KindLoad && ins.Kind != workload.KindStore {
-			continue
-		}
-		isSample := false
-		if cfg.SampleEvery > 0 && e.sampleCount >= cfg.SampleEvery {
-			e.sampleCount = 0
-			isSample = true
-		}
-		watchedPage := cfg.WPs != nil && cfg.WPs.WatchedPage(mem.PageOf(ins.Addr))
-		if !isSample && !watchedPage {
-			continue
-		}
-		a = mem.Access{PC: ins.PC, Addr: ins.Addr,
-			Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrIdx}
-		if isSample {
-			sampleStops++
-			if cfg.OnSample != nil {
-				cfg.OnSample(&a)
-			}
-		}
-		if watchedPage {
-			triggers++
-			if cfg.WPs.WatchedLine(a.Line()) {
-				if cfg.OnTrigger != nil {
-					cfg.OnTrigger(&a)
+	every := cfg.SampleEvery
+	for left := n; left > 0; {
+		k := min(left, workload.ChunkLen)
+		counted := e.Prog.InstrIndex() // instructions before it are in sampleCount
+		e.accs.Reset()
+		e.Prog.FillBatch(k, &e.accs)
+		for i := range e.accs {
+			a := &e.accs[i]
+			isSample := false
+			if every > 0 {
+				e.sampleCount += a.InstrIdx + 1 - counted
+				counted = a.InstrIdx + 1
+				if e.sampleCount >= every {
+					e.sampleCount = 0
+					isSample = true
 				}
-			} else {
-				falsePos++
+			}
+			watchedPage := cfg.WPs != nil && cfg.WPs.WatchedPage(a.Page())
+			if !isSample && !watchedPage {
+				continue
+			}
+			if isSample {
+				sampleStops++
+				if cfg.OnSample != nil {
+					cfg.OnSample(a)
+				}
+			}
+			if watchedPage {
+				triggers++
+				if cfg.WPs.WatchedLine(a.Line()) {
+					if cfg.OnTrigger != nil {
+						cfg.OnTrigger(a)
+					}
+				} else {
+					falsePos++
+				}
 			}
 		}
+		if every > 0 {
+			e.sampleCount += e.Prog.InstrIndex() - counted
+		}
+		left -= k
 	}
 	e.charge(KindVDP, float64(n))
 	if cfg.TriggersFixed {

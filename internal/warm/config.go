@@ -24,6 +24,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/stats"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // Config is the sampled-simulation setup (paper §5): 10 detailed regions of
@@ -286,16 +287,17 @@ func (r *Result) MIPS(cfg Config) float64 {
 // oracle armed. The caller provides a freshly reset hierarchy/core pair
 // positioned DetailWarm instructions before the region.
 func EvalRegion(cfg Config, eng *vm.Engine, core *cpu.Core, oracle cache.Oracle) RegionResult {
+	var batch workload.InstrBatch
 	hier := core.Hier
 	hier.Oracle = nil
 	eng.Prop = false
-	core.Run(eng.Prog, cfg.DetailWarm)
+	core.RunBatch(eng.Prog, cfg.DetailWarm, &batch)
 	eng.ChargeDetail(cfg.DetailWarm)
 
 	hier.Oracle = oracle
 	llcBefore := hier.LLCMissCount
 	start := eng.Prog.InstrIndex()
-	st := core.Run(eng.Prog, cfg.RegionLen)
+	st := core.RunBatch(eng.Prog, cfg.RegionLen, &batch)
 	eng.ChargeDetail(cfg.RegionLen)
 	hier.Oracle = nil
 	return RegionResult{

@@ -211,6 +211,10 @@ type Program struct {
 	depSpan   uint32
 	depMagic  uint64 // floor(2^64/depSpan)+1: Lemire fastmod magic
 	noDepTh   uint32 // of 16: instructions with no input dependence
+
+	// skipped is Skip's reusable FillBatch scratch (at most ChunkLen
+	// records, discarded); it is not program state.
+	skipped mem.Batch
 }
 
 type branchSlot struct {
@@ -476,55 +480,6 @@ func (pr *Program) rebuildWeights() {
 	}
 }
 
-// Next generates the next dynamic instruction into ins. It always succeeds:
-// programs are infinite and the caller decides how far to run.
-func (pr *Program) Next(ins *Instr) {
-	if pr.instrIdx >= pr.nextPhaseEdge {
-		pr.rebuildWeights()
-	}
-	r := pr.rng.Uint64()
-	pr.instrIdx++
-	// Advance the code walk: one fetch line per 8 instructions on average
-	// models a fetch-block-grained I-side without per-instruction cost.
-	pr.codePos++
-	if pr.codePos>>3 >= pr.codeLines {
-		pr.codePos = 0
-	}
-	ins.FetchLine = mem.Line(codeBaseLine + pr.codePos>>3)
-	// Register dependence: most instructions start fresh chains
-	// (immediates, loop counters, loads off loop-invariant bases); the
-	// dependence-free fraction grows with the profile's ILP. Without it the
-	// timing model strings every load into one transitive chain and CPI
-	// explodes far beyond what an 8-wide OoO core with a 192-entry ROB
-	// exhibits — the whole point of out-of-order execution is that real
-	// chains are short and overlap.
-	depBits := uint32(r >> 48)
-	if depBits&0xf < pr.noDepTh {
-		ins.DepDist = 0
-	} else {
-		ins.DepDist = 1 + pr.depMod(depBits>>4)
-	}
-	sel := uint32(r & 0xffff)
-	switch {
-	case sel < pr.thMem:
-		pr.genMem(ins, uint32(r>>16))
-	case sel < pr.thBranch:
-		pr.genBranch(ins, uint32(r>>16))
-	default:
-		ins.Addr = 0
-		ins.Taken = false
-		if uint32(r>>16)&0xffff < pr.thFP {
-			ins.Kind = KindFP
-			ins.PC = 0x900000 + uint64(r>>32)%64*4
-			ins.Lat = 4
-		} else {
-			ins.Kind = KindALU
-			ins.PC = 0xa00000 + uint64(r>>32)%64*4
-			ins.Lat = 1
-		}
-	}
-}
-
 // depMod returns x % depSpan via Lemire's fastmod (two multiplies, no
 // divide — the dependence-distance draw runs once per instruction on both
 // generator paths). Exact because x fits 32 bits; pinned against the %
@@ -607,16 +562,24 @@ func (pr *Program) genBranch(ins *Instr, rb uint32) {
 	}
 }
 
+// ChunkLen is the number of instructions every production consumer of the
+// stream decodes per FillBatch/FillInstrBatch call: the functional and VDP
+// passes, the timing core and Skip all walk long spans as a sequence of
+// chunks of at most this length, so their scratch stays a few KiB whatever
+// span a pass covers. It is a constant, not a knob: larger chunks buy no
+// speed and cost resident memory.
+const ChunkLen = 512
+
 // FillBatch executes n instructions, appending every memory access to b as
-// a by-value record. Program state evolution is bit-identical to n calls
-// of Next — only the observation mechanism differs — so a batched pass and
-// a handler-driven pass replay the same execution (pinned by
-// TestFillBatchMatchesNext).
+// a by-value record. It is one of the two production decode loops (the
+// other is FillInstrBatch). Program state evolution is bit-identical to n
+// steps of the per-instruction reference generator (Next, kept in the
+// tests) — only the observation mechanism differs — so every consumer
+// replays the same execution (pinned by TestFillBatchMatchesNext).
 //
-// It specializes Next's loop rather than calling it: non-memory
-// instructions advance their state (RNG, code walk, branch counters,
-// phase edges) without materializing an Instr, which is where a third of
-// the per-instruction cost of the handler-driven path went.
+// Non-memory instructions advance their state (RNG, code walk, branch
+// counters, phase edges) without materializing an Instr, which is where a
+// third of the per-instruction cost of the reference went.
 func (pr *Program) FillBatch(n uint64, b *mem.Batch) {
 	var ins Instr
 	s := *b // keep the slice header in registers across the loop
@@ -662,9 +625,9 @@ func (b *InstrBatch) Reset() { *b = (*b)[:0] }
 // reuse layers observe nothing else), FillInstrBatch materializes the full
 // dynamic instruction stream — the timing model needs the fetch lines,
 // dependence distances, kinds and latencies of non-memory instructions
-// too. Program state evolution is bit-identical to n calls of Next (pinned
-// by TestFillInstrBatchMatchesNext); only the per-call overhead of the
-// handler-driven path is gone.
+// too. Program state evolution is bit-identical to n steps of the
+// per-instruction reference generator (pinned by
+// TestFillInstrBatchMatchesNext); only its per-call overhead is gone.
 func (pr *Program) FillInstrBatch(n uint64, b *InstrBatch) {
 	// Extend once up front and write each record in place: a per-record
 	// append costs a capacity check plus a 32-byte copy out of a scratch
@@ -734,13 +697,16 @@ func (pr *Program) genBranchState(rb uint32) {
 	}
 }
 
-// Skip advances the program by n instructions without materializing them.
-// The resulting state is identical to calling Next n times; the engine uses
-// it for virtualized fast-forwarding where no one observes the stream.
+// Skip advances the program by n instructions that no one observes — the
+// engine's virtualized fast-forward. It runs FillBatch chunk by chunk over
+// a reused scratch and discards the records, so the resulting state is
+// exactly that of executing the n instructions.
 func (pr *Program) Skip(n uint64) {
-	var ins Instr
-	for i := uint64(0); i < n; i++ {
-		pr.Next(&ins)
+	for n > 0 {
+		k := min(n, ChunkLen)
+		pr.skipped.Reset()
+		pr.FillBatch(k, &pr.skipped)
+		n -= k
 	}
 }
 
