@@ -198,11 +198,8 @@ func (d *DeLorean) ScoutRegion(m int) *RegionData {
 	// filters nearly everything and no Explorer engages (Fig. 8, <1 avg).
 	luke := cache.NewHierarchy(cfg.HierConfig(), nil)
 	eng.Prop = false
-	eng.RunFunc(cfg.DetailWarm, false, func(ins *workload.Instr, a *mem.Access) {
-		luke.WarmInstr(ins.FetchLine)
-		if a != nil {
-			luke.WarmData(a.Line())
-		}
+	eng.RunFunc(cfg.DetailWarm, false, func(chunk workload.InstrBatch, _, _ uint64) {
+		warm.WarmChunk(luke, nil, chunk)
 	})
 
 	msg := &RegionData{
@@ -212,25 +209,30 @@ func (d *DeLorean) ScoutRegion(m int) *RegionData {
 	}
 	var seen mem.FlatSet[mem.Line]
 	seen.Grow(256)
-	eng.RunFunc(cfg.RegionLen, false, func(ins *workload.Instr, a *mem.Access) {
-		luke.WarmInstr(ins.FetchLine)
-		if a == nil {
-			return
-		}
-		l := a.Line()
-		if !seen.Add(l) {
+	eng.RunFunc(cfg.RegionLen, false, func(chunk workload.InstrBatch, _, memIdx uint64) {
+		for i := range chunk {
+			ins := &chunk[i]
+			luke.WarmInstr(ins.FetchLine)
+			if !ins.IsMem() {
+				continue
+			}
+			first := memIdx // this access's index, if it is a first touch
+			memIdx++
+			l := mem.LineOf(ins.Addr)
+			if !seen.Add(l) {
+				luke.WarmData(l)
+				continue
+			}
+			// First in-region access: a lukewarm hit at either level
+			// resolves it; otherwise the line is a key cacheline. Probe
+			// before warming — the access itself installs the line.
+			hit := luke.L1D.Probe(l) || luke.LLC.Probe(l)
 			luke.WarmData(l)
-			return
+			if hit && !cfg.NoLukewarmFilter {
+				continue
+			}
+			msg.Keys = append(msg.Keys, reuse.KeySpec{Line: l, FirstMem: first})
 		}
-		// First in-region access: a lukewarm hit at either level resolves
-		// it; otherwise the line is a key cacheline. Probe before warming —
-		// the access itself installs the line.
-		hit := luke.L1D.Probe(l) || luke.LLC.Probe(l)
-		luke.WarmData(l)
-		if hit && !cfg.NoLukewarmFilter {
-			return
-		}
-		msg.Keys = append(msg.Keys, reuse.KeySpec{Line: l, FirstMem: a.MemIdx})
 	})
 	eng.Counters.Add("fix/keys_total", float64(len(msg.Keys)))
 	eng.Counters.Add("fix/region_unique_lines", float64(seen.Len()))
@@ -272,19 +274,23 @@ func (d *DeLorean) ExploreRegion(k int, msg *RegionData) {
 		// Vicinity sampling intervals count instructions, like the VDP
 		// sampling stops.
 		instrCount := uint64(0)
-		eng.RunFunc(span, false, func(ins *workload.Instr, a *mem.Access) {
-			instrCount++
-			if a == nil {
-				return
-			}
-			l := a.Line()
-			if keySet.Has(l) {
-				collector.Observe(a)
-			}
-			sampler.Complete(a)
-			if instrCount >= vicinityEvery {
-				instrCount = 0
-				sampler.Start(a)
+		eng.RunFunc(span, false, func(chunk workload.InstrBatch, instrIdx, memIdx uint64) {
+			for i := range chunk {
+				ins := &chunk[i]
+				instrCount++
+				if !ins.IsMem() {
+					continue
+				}
+				a := ins.Access(memIdx, instrIdx+uint64(i))
+				memIdx++
+				if keySet.Has(a.Line()) {
+					collector.Observe(&a)
+				}
+				sampler.Complete(&a)
+				if instrCount >= vicinityEvery {
+					instrCount = 0
+					sampler.Start(&a)
+				}
 			}
 		})
 	} else {

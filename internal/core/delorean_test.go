@@ -39,6 +39,20 @@ func testProfile() *workload.Profile {
 	}
 }
 
+// eachAccess adapts a per-access observer to vm.Engine.RunFunc's chunk
+// handler, numbering the chunk's accesses from its stream position.
+func eachAccess(f func(a *mem.Access)) vm.ChunkHandler {
+	return func(chunk workload.InstrBatch, instrIdx, memIdx uint64) {
+		for i := range chunk {
+			if ins := &chunk[i]; ins.IsMem() {
+				a := ins.Access(memIdx, instrIdx+uint64(i))
+				memIdx++
+				f(&a)
+			}
+		}
+	}
+}
+
 // groundTruth computes, for every region, the exact backward reuse
 // distance of each line's first in-region access, by replaying the whole
 // span with an exact monitor. It also returns the memory-access index at
@@ -53,17 +67,10 @@ func groundTruth(prof *workload.Profile, cfg warm.Config) ([]map[mem.Line]uint64
 	for m := 0; m < cfg.Regions; m++ {
 		start := cfg.RegionStart(m)
 		n := start - prog.InstrIndex()
-		eng.RunFunc(n, false, func(ins *workload.Instr, a *mem.Access) {
-			if a != nil {
-				mon.Observe(a)
-			}
-		})
+		eng.RunFunc(n, false, eachAccess(func(a *mem.Access) { mon.Observe(a) }))
 		memAtStart[m] = prog.MemIndex()
 		dists := make(map[mem.Line]uint64)
-		eng.RunFunc(cfg.RegionLen, false, func(ins *workload.Instr, a *mem.Access) {
-			if a == nil {
-				return
-			}
+		eng.RunFunc(cfg.RegionLen, false, eachAccess(func(a *mem.Access) {
 			if _, dup := dists[a.Line()]; !dup {
 				d, seen := mon.Observe(a)
 				if !seen {
@@ -73,7 +80,7 @@ func groundTruth(prof *workload.Profile, cfg warm.Config) ([]map[mem.Line]uint64
 			} else {
 				mon.Observe(a)
 			}
-		})
+		}))
 		out[m] = dists
 	}
 	return out, memAtStart

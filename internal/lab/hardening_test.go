@@ -21,6 +21,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/spec"
 	"repro/internal/warm"
+	"repro/internal/workload"
 )
 
 // The service-hardening tests need jobs that fail, block and observe
@@ -612,6 +613,76 @@ func TestMalformedConfigsRejected(t *testing.T) {
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after malformed specs: %v %v", resp, err)
+	}
+	resp.Body.Close()
+	// The single worker is free: a well-formed spec still runs.
+	st := postSpec(t, ts, shortSpec(t))
+	waitDone(t, ts, st.Key)
+}
+
+// TestMalformedProfilesRejected: an inline profile the generator cannot
+// run (no streams, an overlay of a later stream, ratios outside [0, 1],
+// bad weights or phase gating) used to be accepted and then panic in the
+// executor or run nonsense. Each must now be refused at submission with a
+// 400 naming the field, and the daemon must go on serving.
+func TestMalformedProfilesRejected(t *testing.T) {
+	ts, _ := newHardenedServer(t, 1, lab.Options{})
+	cfg := warm.DefaultConfig()
+	cfg.Scale = 1024
+	cfg.Regions = 1
+	cases := []struct {
+		name, field string
+		mutate      func(p *workload.Profile)
+	}{
+		{"no streams", "Streams", func(p *workload.Profile) { p.Streams = nil }},
+		{"overlay of a later stream", "OverlayOf", func(p *workload.Profile) { p.Streams[0].OverlayOf = 5 }},
+		{"mem ratio above one", "MemRatio", func(p *workload.Profile) { p.MemRatio = 1.7 }},
+		{"mem plus branch above one", "BranchRatio", func(p *workload.Profile) { p.MemRatio, p.BranchRatio = 0.9, 0.2 }},
+		{"negative FP fraction", "FPFrac", func(p *workload.Profile) { p.FPFrac = -0.5 }},
+		{"random branches above one", "RandomBranchFrac", func(p *workload.Profile) { p.RandomBranchFrac = 2 }},
+		{"negative weight", "Weight", func(p *workload.Profile) { p.Streams[1].Weight = -1 }},
+		{"all-zero weights", "Weight", func(p *workload.Profile) {
+			for i := range p.Streams {
+				p.Streams[i].Weight = 0
+			}
+		}},
+		{"duty above one", "PhaseDuty", func(p *workload.Profile) {
+			p.Streams[0].PhasePeriod, p.Streams[0].PhaseDuty = 1<<20, 1.5
+		}},
+		{"offset of a whole period", "PhaseOffsets", func(p *workload.Profile) {
+			p.Streams[0].PhasePeriod, p.Streams[0].PhaseDuty = 1<<20, 0.1
+			p.Streams[0].PhaseOffsets = []float64{0.5, 1}
+		}},
+	}
+	for _, c := range cases {
+		prof := workload.Mcf()
+		prof.Name = "mcf-inline"
+		c.mutate(prof)
+		params := map[string]any{
+			"bench":  map[string]any{"name": prof.Name, "profile": prof},
+			"method": spec.MethodDeLorean,
+			"cfg":    cfg,
+		}
+		body, err := json.Marshal(map[string]any{"kind": spec.KindSampling, "params": params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/specs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: daemon unreachable: %v", c.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %s, want 400", c.name, resp.Status)
+		}
+		if !strings.Contains(string(msg), c.field) {
+			t.Errorf("%s: error %s does not name %s", c.name, msg, c.field)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after malformed profiles: %v %v", resp, err)
 	}
 	resp.Body.Close()
 	// The single worker is free: a well-formed spec still runs.

@@ -554,12 +554,16 @@ func KeyReuse() Scenario {
 				var keys []reuse.KeySpec
 				var seen mem.FlatSet[mem.Line]
 				seen.Grow(256)
-				scout.RunFunc(cfg.RegionLen, false, func(ins *workload.Instr, a *mem.Access) {
-					if a == nil {
-						return
-					}
-					if l := a.Line(); seen.Add(l) {
-						keys = append(keys, reuse.KeySpec{Line: l, FirstMem: a.MemIdx})
+				scout.RunFunc(cfg.RegionLen, false, func(chunk workload.InstrBatch, _, memIdx uint64) {
+					for i := range chunk {
+						ins := &chunk[i]
+						if !ins.IsMem() {
+							continue
+						}
+						if l := mem.LineOf(ins.Addr); seen.Add(l) {
+							keys = append(keys, reuse.KeySpec{Line: l, FirstMem: memIdx})
+						}
+						memIdx++
 					}
 				})
 

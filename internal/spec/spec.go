@@ -352,7 +352,16 @@ func (r BenchRef) Resolve() (*workload.Profile, error) {
 	return nil, fmt.Errorf("unknown benchmark %q (and no inline profile)", r.Name)
 }
 
+// validate resolves the reference and checks the profile it names, so an
+// inline profile the generator cannot run is refused at the spec boundary
+// instead of panicking in the executor.
 func (r BenchRef) validate() error {
-	_, err := r.Resolve()
-	return err
+	p, err := r.Resolve()
+	if err != nil {
+		return err
+	}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("bench %q: profile: %w", r.Name, err)
+	}
+	return nil
 }

@@ -17,21 +17,15 @@ func nextInstr(prog *workload.Program, one *workload.InstrBatch) *workload.Instr
 }
 
 // refRunFunc is the per-instruction functional loop RunFunc is pinned
-// against: one decode and one handler call per instruction.
-func (e *Engine) refRunFunc(n uint64, cacheSim bool, h InstrHandler) {
+// against: one decode and one handler call, on a one-instruction chunk,
+// per instruction.
+func (e *Engine) refRunFunc(n uint64, cacheSim bool, h ChunkHandler) {
 	var one workload.InstrBatch
-	var a mem.Access
 	for i := uint64(0); i < n; i++ {
 		memIdx := e.Prog.MemIndex()
 		instrIdx := e.Prog.InstrIndex()
-		ins := nextInstr(e.Prog, &one)
-		if ins.Kind == workload.KindLoad || ins.Kind == workload.KindStore {
-			a = mem.Access{PC: ins.PC, Addr: ins.Addr,
-				Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrIdx}
-			h(ins, &a)
-		} else {
-			h(ins, nil)
-		}
+		nextInstr(e.Prog, &one)
+		h(one, instrIdx, memIdx)
 	}
 	if cacheSim {
 		e.charge(KindFuncCache, float64(n))
@@ -117,12 +111,16 @@ type passDriver struct {
 }
 
 func (d *passDriver) runFunc(n uint64, cacheSim bool) {
-	h := func(ins *workload.Instr, a *mem.Access) {
-		ev := event{kind: "instr", ins: *ins}
-		if a != nil {
-			ev.kind, ev.a = "mem", *a
+	h := func(chunk workload.InstrBatch, instrIdx, memIdx uint64) {
+		for i := range chunk {
+			ins := &chunk[i]
+			ev := event{kind: "instr", ins: *ins}
+			if ins.IsMem() {
+				ev.kind, ev.a = "mem", ins.Access(memIdx, instrIdx+uint64(i))
+				memIdx++
+			}
+			d.log = append(d.log, ev)
 		}
-		d.log = append(d.log, ev)
 	}
 	if d.batched {
 		d.eng.RunFunc(n, cacheSim, h)

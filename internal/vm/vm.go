@@ -161,9 +161,13 @@ func (w *Watchpoints) Clear() {
 // AccessHandler observes one memory access during functional execution.
 type AccessHandler func(a *mem.Access)
 
-// InstrHandler observes one instruction during functional execution; a is
-// nil for non-memory instructions.
-type InstrHandler func(ins *workload.Instr, a *mem.Access)
+// ChunkHandler observes one decoded chunk of functional execution: the
+// chunk's instructions in program order, with the stream position of its
+// first instruction (instrIdx) and of its first memory access (memIdx).
+// The i-th instruction sits at instrIdx+i, and the memory accesses are
+// numbered from memIdx in order (workload.Instr.Access builds their
+// records). The chunk is the engine's scratch, valid only during the call.
+type ChunkHandler func(chunk workload.InstrBatch, instrIdx, memIdx uint64)
 
 // VDPConfig configures one directed-profiling run.
 type VDPConfig struct {
@@ -243,32 +247,21 @@ func (e *Engine) FastForwardTo(to uint64) {
 	e.charge(KindVFF, float64(to-cur))
 }
 
-// RunFunc executes n instructions under functional simulation, invoking h
-// for each in program order (cacheSim selects the slower functional-warming
-// rate). The span is decoded chunk by chunk through FillInstrBatch into the
-// engine's scratch; generation is open loop, so decoding a chunk before
-// its handler calls changes nothing a handler sees, provided handlers take
-// stream positions from the access record (MemIdx, InstrIdx), never from
-// e.Prog, which is already at the chunk's end.
-func (e *Engine) RunFunc(n uint64, cacheSim bool, h InstrHandler) {
-	var a mem.Access
+// RunFunc executes n instructions under functional simulation, handing h
+// each decoded chunk in program order (cacheSim selects the slower
+// functional-warming rate). The span is decoded chunk by chunk through
+// FillInstrBatch into the engine's scratch; generation is open loop, so
+// decoding a chunk before its handler runs changes nothing a handler
+// sees, provided handlers take stream positions from the chunk's
+// arguments, never from e.Prog, which is already at the chunk's end.
+func (e *Engine) RunFunc(n uint64, cacheSim bool, h ChunkHandler) {
 	for left := n; left > 0; {
 		k := min(left, workload.ChunkLen)
 		instrIdx := e.Prog.InstrIndex()
 		memIdx := e.Prog.MemIndex()
 		e.instrs.Reset()
 		e.Prog.FillInstrBatch(k, &e.instrs)
-		for i := range e.instrs {
-			ins := &e.instrs[i]
-			if ins.Kind == workload.KindLoad || ins.Kind == workload.KindStore {
-				a = mem.Access{PC: ins.PC, Addr: ins.Addr,
-					Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrIdx + uint64(i)}
-				memIdx++
-				h(ins, &a)
-			} else {
-				h(ins, nil)
-			}
-		}
+		h(e.instrs, instrIdx, memIdx)
 		left -= k
 	}
 	if cacheSim {

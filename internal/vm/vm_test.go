@@ -56,7 +56,7 @@ func TestFastForwardMatchesFunctional(t *testing.T) {
 	// VFF must leave the program in exactly the same state as observing it.
 	a, b := NewEngine(testProg()), NewEngine(testProg())
 	a.FastForwardTo(5000)
-	b.RunFunc(5000, false, func(ins *workload.Instr, acc *mem.Access) {})
+	b.RunFunc(5000, false, func(workload.InstrBatch, uint64, uint64) {})
 	if !reflect.DeepEqual(a.Prog.Position(), b.Prog.Position()) {
 		t.Fatal("VFF and functional execution diverged")
 	}
@@ -76,8 +76,8 @@ func TestFastForwardPanicsOnPast(t *testing.T) {
 func TestLedgerCharging(t *testing.T) {
 	e := NewEngine(testProg())
 	e.FastForwardTo(1000)
-	e.RunFunc(500, false, func(ins *workload.Instr, a *mem.Access) {})
-	e.RunFunc(500, true, func(ins *workload.Instr, a *mem.Access) {})
+	e.RunFunc(500, false, func(workload.InstrBatch, uint64, uint64) {})
+	e.RunFunc(500, true, func(workload.InstrBatch, uint64, uint64) {})
 	e.Prop = false
 	e.ChargeDetail(100)
 	c := e.Counters
@@ -99,9 +99,11 @@ func TestVDPTriggersAndFalsePositives(t *testing.T) {
 	// on a second instance.
 	probe := NewEngine(testProg())
 	var target mem.Line
-	probe.RunFunc(2000, false, func(ins *workload.Instr, a *mem.Access) {
-		if a != nil && target == 0 {
-			target = a.Line()
+	probe.RunFunc(2000, false, func(chunk workload.InstrBatch, _, _ uint64) {
+		for i := range chunk {
+			if ins := &chunk[i]; ins.IsMem() && target == 0 {
+				target = mem.LineOf(ins.Addr)
+			}
 		}
 	})
 	if target == 0 {
@@ -161,9 +163,11 @@ func TestVDPDoesNotPerturbTimeline(t *testing.T) {
 	// execution (watchpoints observe, never alter).
 	var funcTrace []mem.Addr
 	pf := NewEngine(testProg())
-	pf.RunFunc(10000, false, func(ins *workload.Instr, a *mem.Access) {
-		if a != nil {
-			funcTrace = append(funcTrace, a.Addr)
+	pf.RunFunc(10000, false, func(chunk workload.InstrBatch, _, _ uint64) {
+		for i := range chunk {
+			if ins := &chunk[i]; ins.IsMem() {
+				funcTrace = append(funcTrace, ins.Addr)
+			}
 		}
 	})
 	pv := NewEngine(testProg())

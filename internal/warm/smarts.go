@@ -32,15 +32,45 @@ func RunSMARTS(prof *workload.Profile, cfg Config) *Result {
 		// state and predictor all stay warm. Cost scales with the gap.
 		eng.Prop = true
 		n := warmStart - prog.InstrIndex()
-		eng.RunFunc(n, true, func(ins *workload.Instr, a *mem.Access) {
-			hier.WarmInstr(ins.FetchLine)
-			if a != nil {
-				hier.WarmData(a.Line())
-			} else if ins.Kind == workload.KindBranch {
-				bp.PredictAndUpdate(ins.PC, ins.Taken)
-			}
+		eng.RunFunc(n, true, func(chunk workload.InstrBatch, _, _ uint64) {
+			WarmChunk(hier, bp, chunk)
 		})
 		res.Regions = append(res.Regions, EvalRegion(cfg, eng, core, nil))
 	}
 	return res
+}
+
+// WarmChunk is the exact functional-warming kernel: it replays one decoded
+// chunk through h in program order — every fetch through the L1I (and the
+// LLC on a miss), every load and store through the L1D and the LLC — and,
+// when bp is non-nil, trains bp on every branch. The result is
+// bit-identical to calling h.WarmInstr, h.WarmData and bp.PredictAndUpdate
+// record by record (pinned by TestWarmChunkMatchesPerRecord).
+//
+// The I-side uses the fetch-line memo cpu.Core.RunBatch uses: a fetch of
+// the line the previous fetch touched is a guaranteed L1I hit (that fetch
+// left it resident, and nothing but fetches touches the private L1I), so
+// its state update replays through Touch on the remembered way instead of
+// a set search. The memo lives for one call only, so anything that
+// touches the L1I between calls cannot invalidate it.
+func WarmChunk(h *cache.Hierarchy, bp *cpu.BranchPred, chunk workload.InstrBatch) {
+	l1i := h.L1I
+	lastLine, lastWay := mem.Line(0), -1
+	for i := range chunk {
+		ins := &chunk[i]
+		if ins.FetchLine == lastLine && lastWay >= 0 {
+			l1i.Touch(lastWay)
+		} else {
+			h.WarmInstr(ins.FetchLine)
+			lastLine, lastWay = ins.FetchLine, l1i.WayIndexOf(ins.FetchLine)
+		}
+		switch ins.Kind {
+		case workload.KindLoad, workload.KindStore:
+			h.WarmData(mem.LineOf(ins.Addr))
+		case workload.KindBranch:
+			if bp != nil {
+				bp.PredictAndUpdate(ins.PC, ins.Taken)
+			}
+		}
+	}
 }

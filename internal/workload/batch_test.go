@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math/bits"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -199,4 +201,101 @@ func TestFillBatchSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state FillBatch allocated %.2f times per window", allocs)
 	}
+}
+
+// fillSize maps one fuzz byte to a decode-call length, favouring the
+// lengths around chunk boundaries: 0, 1, ChunkLen-1, ChunkLen, ChunkLen+1
+// and a multi-chunk span that is not a multiple of ChunkLen.
+func fillSize(b byte) uint64 {
+	switch b % 8 {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return ChunkLen - 1
+	case 3:
+		return ChunkLen
+	case 4:
+		return ChunkLen + 1
+	case 5:
+		return 2*ChunkLen + 7
+	}
+	return uint64(b) * 13
+}
+
+// FuzzFillMatchesNext pins the production decode loops to the
+// per-instruction reference over validated profiles: a suite profile
+// (calculix and povray bring phase gating) with a fuzzed instruction mix
+// and loop duty, at a fuzzed scale (large scales put phase edges inside
+// chunks), driven by a fuzzed sequence of FillBatch, FillInstrBatch and
+// Skip calls of fuzzed lengths. Every record must match Next's, appended
+// after what the batch already held, and the Position must match after
+// every call. The seed corpus is checked in under testdata/fuzz.
+func FuzzFillMatchesNext(f *testing.F) {
+	f.Fuzz(func(t *testing.T, profSel, scaleLog uint8, memRatio, branchRatio, randBranch uint16, loopDuty uint8, calls []byte) {
+		profs := Benchmarks()
+		prof := profs[int(profSel)%len(profs)]
+		prof.MemRatio = float64(memRatio) / 65535
+		prof.BranchRatio = float64(branchRatio) / 65535
+		prof.RandomBranchFrac = float64(randBranch) / 65535
+		prof.LoopDuty = int(loopDuty)
+		if prof.Validate() != nil {
+			return
+		}
+		scale := uint64(1) << (scaleLog % 24)
+		ref, got := prof.NewProgram(scale), prof.NewProgram(scale)
+		// Both batches start non-empty: every call must append.
+		wantAcc := mem.Batch{{PC: 1}}
+		gotAcc := slices.Clone(wantAcc)
+		wantIns := InstrBatch{{PC: 2}}
+		gotIns := slices.Clone(wantIns)
+		calls = calls[:min(len(calls), 128)]
+		for c := 0; c+1 < len(calls); c += 2 {
+			n := fillSize(calls[c+1])
+			op := calls[c] % 3
+			for i := uint64(0); i < n; i++ {
+				memIdx, instrIdx := ref.MemIndex(), ref.InstrIndex()
+				var ins Instr
+				ref.Next(&ins)
+				switch {
+				case op == 0 && ins.IsMem():
+					wantAcc = append(wantAcc, ins.Access(memIdx, instrIdx))
+				case op == 1:
+					wantIns = append(wantIns, ins)
+				}
+			}
+			switch op {
+			case 0:
+				got.FillBatch(n, &gotAcc)
+			case 1:
+				got.FillInstrBatch(n, &gotIns)
+			case 2:
+				got.Skip(n)
+			}
+			if !reflect.DeepEqual(got.Position(), ref.Position()) {
+				t.Fatalf("call %d (op %d, n %d): position %+v, reference %+v", c/2, op, n, got.Position(), ref.Position())
+			}
+		}
+		if i := mismatch(gotAcc, wantAcc); i >= 0 {
+			t.Fatalf("FillBatch: %d records, reference %d; first difference at %d", len(gotAcc), len(wantAcc), i)
+		}
+		if i := mismatch(gotIns, wantIns); i >= 0 {
+			t.Fatalf("FillInstrBatch: %d records, reference %d; first difference at %d", len(gotIns), len(wantIns), i)
+		}
+	})
+}
+
+// mismatch returns the index of the first record where got and want
+// differ (len(want) if got is longer), or -1 when they are equal.
+func mismatch[S ~[]E, E comparable](got, want S) int {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return i
+		}
+	}
+	if len(got) != len(want) {
+		return min(len(got), len(want))
+	}
+	return -1
 }

@@ -39,7 +39,7 @@ func (pr *Program) Next(ins *Instr) {
 	sel := uint32(r & 0xffff)
 	switch {
 	case sel < pr.thMem:
-		pr.genMem(ins, uint32(r>>16))
+		pr.genMemInstr(ins, uint32(r>>16))
 	case sel < pr.thBranch:
 		pr.genBranch(ins, uint32(r>>16))
 	default:

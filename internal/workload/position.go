@@ -61,9 +61,9 @@ func (pr *Program) Position() Position {
 // instruction index, so rebuilding them at seek time reproduces exactly
 // the state a straight replay would carry. Seek replaces "Reset then Skip
 // to offset" — O(streams) instead of O(instructions). Positions whose
-// stream state no program can reach (a cursor or last offset outside the
-// stream, a burst count at or past its length) are rejected, and the
-// program is left unchanged.
+// state no program can reach (a stream cursor or last offset outside the
+// stream, a burst count at or past its length, a code position past the
+// code walk) are rejected, and the program is left unchanged.
 func (pr *Program) Seek(p Position) error {
 	if len(p.Streams) != len(pr.streams) {
 		return fmt.Errorf("workload: seek: position has %d streams, program %q has %d",
@@ -72,6 +72,10 @@ func (pr *Program) Seek(p Position) error {
 	if len(p.BranchCtrs) != len(pr.branchSlots) {
 		return fmt.Errorf("workload: seek: position has %d branch counters, program %q has %d",
 			len(p.BranchCtrs), pr.prof.Name, len(pr.branchSlots))
+	}
+	if period := pr.codeLines * 8; p.CodePos >= period {
+		return fmt.Errorf("workload: seek: code position %d out of range for a %d-instruction code walk",
+			p.CodePos, period)
 	}
 	for i, sp := range p.Streams {
 		st := &pr.streams[i]

@@ -76,6 +76,16 @@ type Instr struct {
 	Lat       uint8  // execution latency in cycles (non-memory)
 }
 
+// IsMem reports whether the instruction is a load or a store.
+func (ins *Instr) IsMem() bool { return ins.Kind == KindLoad || ins.Kind == KindStore }
+
+// Access returns the memory access record of a load or store at the given
+// stream position (its memory-access and instruction indices).
+func (ins *Instr) Access(memIdx, instrIdx uint64) mem.Access {
+	return mem.Access{PC: ins.PC, Addr: ins.Addr, Write: ins.Kind == KindStore,
+		MemIdx: memIdx, InstrIdx: instrIdx}
+}
+
 // StreamKind selects the address-generation pattern of a stream.
 type StreamKind uint8
 
@@ -202,7 +212,7 @@ type Program struct {
 	thMem, thBranch uint32
 	thFP            uint32 // within non-mem non-branch
 	// branch slots
-	branchSlots []branchSlot
+	branchSlots [16]branchSlot
 	loopDuty    uint32
 	randBrBits  uint32
 	// code walk for the I-side
@@ -212,8 +222,13 @@ type Program struct {
 	depMagic  uint64 // floor(2^64/depSpan)+1: Lemire fastmod magic
 	noDepTh   uint32 // of 16: instructions with no input dependence
 
-	// skipped is Skip's reusable FillBatch scratch (at most ChunkLen
-	// records, discarded); it is not program state.
+	// Decode scratch, not program state: draws and loops hold FillBatch's
+	// compacted memory draws and loop-branch slots of one segment, and
+	// skipped is Skip's discarded FillBatch output (at most ChunkLen
+	// records). Every decode writes before it reads, so none of them
+	// carries anything from one call to the next.
+	draws   [ChunkLen]uint64
+	loops   [ChunkLen]uint8
 	skipped mem.Batch
 }
 
@@ -260,7 +275,6 @@ func (p *Profile) NewProgram(scale uint64) *Program {
 	}
 	pr.randBrBits = uint32(p.RandomBranchFrac * 65536)
 	// 16 static branch PCs is enough to exercise the predictor tables.
-	pr.branchSlots = make([]branchSlot, 16)
 	for i := range pr.branchSlots {
 		pr.branchSlots[i].pc = 0x800000 + uint64(i)*24
 	}
@@ -305,7 +319,12 @@ func (p *Profile) NewProgram(scale uint64) *Program {
 				if s.Kind == Chase {
 					lines /= 2
 				} else {
+					// At least one line, even when a single spread step
+					// overshoots the host.
 					lines = hostSpan / spread
+					if lines == 0 {
+						lines = 1
+					}
 					break
 				}
 			}
@@ -489,7 +508,11 @@ func (pr *Program) depMod(x uint32) uint16 {
 	return uint16(m)
 }
 
-func (pr *Program) genMem(ins *Instr, rb uint32) {
+// genMem generates the memory access of draw rb: its effective address,
+// its PC and whether it is a store (0 or 1, so KindLoad+store is its
+// kind). The results come back in registers rather than through an Instr,
+// which FillBatch's second phase never materializes.
+func (pr *Program) genMem(rb uint32) (addr mem.Addr, pc uint64, store InstrKind) {
 	sel := rb & 0xffff
 	// Start from the LUT's lower bound; the remaining scan resolves only
 	// the selectors whose high byte straddles a weight boundary, so the
@@ -523,22 +546,28 @@ func (pr *Program) genMem(ins *Instr, rb uint32) {
 		st.lastOff = lineOff
 		st.burstLeft = st.burstLen - 1
 	}
-	ins.Addr = mem.Addr((st.baseLine + lineOff*st.spread) << mem.LineShift)
+	addr = mem.Addr((st.baseLine + lineOff*st.spread) << mem.LineShift)
 	// Exact rb>>16 % pcCount via Lemire's fastmod (two multiplies, no
 	// divide): valid because the numerator fits 32 bits. Pinned against
 	// the % operator by TestFastmodMatchesModulo.
 	pcIdx, _ := bits.Mul64(st.pcMagic*(uint64(rb)>>16), st.pcCount)
-	ins.PC = st.pcBase + pcIdx*8
+	pc = st.pcBase + pcIdx*8
 	// Branchless load/store pick (KindStore == KindLoad+1): the write
 	// fraction is a per-access coin flip no branch predictor can learn.
-	var isStore InstrKind
 	if rb>>16&0xffff < st.writeBits {
-		isStore = 1
+		store = 1
 	}
-	ins.Kind = KindLoad + isStore
+	pr.memIdx++
+	return addr, pc, store
+}
+
+// genMemInstr fills ins with the load or store of draw rb.
+func (pr *Program) genMemInstr(ins *Instr, rb uint32) {
+	var store InstrKind
+	ins.Addr, ins.PC, store = pr.genMem(rb)
+	ins.Kind = KindLoad + store
 	ins.Lat = 0
 	ins.Taken = false
-	pr.memIdx++
 }
 
 func (pr *Program) genBranch(ins *Instr, rb uint32) {
@@ -570,39 +599,109 @@ func (pr *Program) genBranch(ins *Instr, rb uint32) {
 // speed and cost resident memory.
 const ChunkLen = 512
 
+// classify indexes its scratch with a ChunkLen-1 mask, which needs a
+// power of two: the guard underflows a uint64 conversion otherwise.
+const _ = uint64(0 - ChunkLen&(ChunkLen-1))
+
 // FillBatch executes n instructions, appending every memory access to b as
 // a by-value record. It is one of the two production decode loops (the
 // other is FillInstrBatch). Program state evolution is bit-identical to n
 // steps of the per-instruction reference generator (Next, kept in the
 // tests) — only the observation mechanism differs — so every consumer
-// replays the same execution (pinned by TestFillBatchMatchesNext).
+// replays the same execution (pinned by TestFillBatchMatchesNext and
+// FuzzFillMatchesNext).
 //
-// Non-memory instructions advance their state (RNG, code walk, branch
-// counters, phase edges) without materializing an Instr, which is where a
-// third of the per-instruction cost of the reference went.
+// The span is decoded in segments of at most ChunkLen instructions that
+// cross no phase edge, each in two phases (DESIGN.md §7):
+//
+//  1. classify draws every instruction's random word and picks its kind
+//     with no data-dependent branch, compacting the memory instructions'
+//     draws and offsets, and the loop branches' slots, into the program's
+//     scratch; the loop counters are then advanced over the compacted
+//     slots;
+//  2. genMem then runs over the compacted draws in program order.
+//
+// Splitting is exact because the memory streams (genMem's only state: the
+// selection tables, the cursors and the Rand streams' RNG) are touched by
+// memory instructions alone, in program order, and the selection tables
+// change only at phase edges, which no segment crosses. The code walk
+// advances by the segment length in one modular add, exact because its
+// position is always inside the walk (Seek refuses one that is not).
 func (pr *Program) FillBatch(n uint64, b *mem.Batch) {
-	var ins Instr
-	s := *b // keep the slice header in registers across the loop
-	for i := uint64(0); i < n; i++ {
+	for n > 0 {
 		if pr.instrIdx >= pr.nextPhaseEdge {
 			pr.rebuildWeights()
 		}
-		r := pr.rng.Uint64()
-		pr.instrIdx++
-		pr.codePos++
-		if pr.codePos>>3 >= pr.codeLines {
-			pr.codePos = 0
+		k := min(n, ChunkLen)
+		if pr.nextPhaseEdge > pr.instrIdx {
+			k = min(k, pr.nextPhaseEdge-pr.instrIdx)
+		} else {
+			// An edge index that wrapped past 2^64 rebuilds before every
+			// instruction, as the reference does.
+			k = 1
 		}
-		sel := uint32(r & 0xffff)
-		switch {
-		case sel < pr.thMem:
-			memIdx := pr.memIdx
-			pr.genMem(&ins, uint32(r>>16))
-			s = append(s, mem.Access{PC: ins.PC, Addr: ins.Addr,
-				Write: ins.Kind == KindStore, MemIdx: memIdx, InstrIdx: pr.instrIdx - 1})
-		case sel < pr.thBranch:
-			pr.genBranchState(uint32(r >> 16))
-		}
+		nm := pr.classify(int(k))
+		pr.genMemSegment(pr.draws[:nm], b)
+		pr.instrIdx += k
+		pr.codePos = (pr.codePos + k) % (pr.codeLines * 8)
+		n -= k
+	}
+}
+
+// classify is FillBatch's first phase over the next k <= ChunkLen
+// instructions. It draws each instruction's random word, records every
+// memory instruction's genMem draw (low 32 bits) and segment offset (high
+// 32 bits) in pr.draws and every loop branch's slot in pr.loops, then
+// applies the loop branches' counter updates; it returns how many draws it
+// recorded. It leaves instrIdx, memIdx, the code walk and the memory
+// streams untouched.
+//
+// The kind picks are sign-bit compares: for sel < 2^16 and a threshold
+// th < 2^32, (sel-th)>>63 in uint64 is 1 exactly when sel < th, and
+// validated profiles keep every threshold at most 2^16. The counters are
+// updated in a second pass over the compacted loop branches rather than
+// by a masked read-modify-write per instruction, because that store
+// aliases the next instruction's load of a random slot one time in 16 and
+// the mis-speculated loads cost more than the whole classification.
+func (pr *Program) classify(k int) int {
+	rng := pr.rng // a local copy keeps the generator state in a register
+	nm, nl := 0, 0
+	for i := 0; i < k; i++ {
+		r := rng.Uint64()
+		sel := r & 0xffff
+		isMem := (sel - uint64(pr.thMem)) >> 63
+		isBranch := (sel - uint64(pr.thBranch)) >> 63 &^ isMem
+		isLoop := isBranch &^ ((r>>32&0xffff - uint64(pr.randBrBits)) >> 63)
+		pr.draws[nm&(ChunkLen-1)] = uint64(i)<<32 | r>>16&0xffffffff
+		pr.loops[nl&(ChunkLen-1)] = uint8(r >> 16 & 15)
+		nm += int(isMem)
+		nl += int(isLoop)
+	}
+	pr.rng = rng
+	// A loop branch is taken except every loopDuty-th execution of its
+	// slot, where its counter resets: c & -(c < loopDuty).
+	duty := uint64(pr.loopDuty)
+	for _, s := range pr.loops[:nl] {
+		slot := &pr.branchSlots[s&15]
+		c := slot.ctr + 1
+		slot.ctr = c & -uint32((uint64(c)-duty)>>63)
+	}
+	return nm
+}
+
+// genMemSegment is FillBatch's second phase: it runs genMem over the
+// compacted draws of one segment in program order, appending each access
+// to b with its stream position.
+func (pr *Program) genMemSegment(draws []uint64, b *mem.Batch) {
+	base := len(*b)
+	s := slices.Grow(*b, len(draws))[:base+len(draws)]
+	out := s[base:]
+	instrBase := pr.instrIdx
+	for j, d := range draws {
+		memIdx := pr.memIdx
+		addr, pc, store := pr.genMem(uint32(d))
+		out[j] = mem.Access{PC: pc, Addr: addr, Write: store != 0,
+			MemIdx: memIdx, InstrIdx: instrBase + d>>32}
 	}
 	*b = s
 }
@@ -665,7 +764,7 @@ func (pr *Program) FillInstrBatch(n uint64, b *InstrBatch) {
 		sel := uint32(r & 0xffff)
 		switch {
 		case sel < pr.thMem:
-			pr.genMem(ins, uint32(r>>16))
+			pr.genMemInstr(ins, uint32(r>>16))
 		case sel < pr.thBranch:
 			pr.genBranch(ins, uint32(r>>16))
 		default:
@@ -684,19 +783,6 @@ func (pr *Program) FillInstrBatch(n uint64, b *InstrBatch) {
 	}
 }
 
-// genBranchState applies exactly the state updates of genBranch (the loop
-// branches' taken-run counters) without producing the instruction.
-func (pr *Program) genBranchState(rb uint32) {
-	if rb>>16 < pr.randBrBits {
-		return
-	}
-	slot := &pr.branchSlots[rb%16]
-	slot.ctr++
-	if slot.ctr >= pr.loopDuty {
-		slot.ctr = 0
-	}
-}
-
 // Skip advances the program by n instructions that no one observes — the
 // engine's virtualized fast-forward. It runs FillBatch chunk by chunk over
 // a reused scratch and discards the records, so the resulting state is
@@ -708,6 +794,16 @@ func (pr *Program) Skip(n uint64) {
 		pr.FillBatch(k, &pr.skipped)
 		n -= k
 	}
+}
+
+// ClearScratch zeroes and releases the program's decode scratch. The
+// scratch is not program state — every decode writes it before reading
+// it — so clearing it changes nothing any decode produces; it lets tests
+// that compare whole Programs (reflect.DeepEqual) compare state alone.
+func (pr *Program) ClearScratch() {
+	pr.draws = [ChunkLen]uint64{}
+	pr.loops = [ChunkLen]uint8{}
+	pr.skipped = nil
 }
 
 // Footprint returns the total scaled data footprint in bytes.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -248,9 +249,70 @@ func TestBenchmarksWellFormed(t *testing.T) {
 		if ByName(p.Name) == nil {
 			t.Errorf("ByName(%q) = nil", p.Name)
 		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: %v", p.Name, err)
+		}
 	}
 	if ByName("nonexistent") != nil {
 		t.Error("ByName should return nil for unknown benchmarks")
+	}
+}
+
+// TestProfileValidate: each value the generator cannot run is refused
+// with an error naming its field, including the non-finite ones JSON
+// cannot carry.
+func TestProfileValidate(t *testing.T) {
+	cases := []struct {
+		field  string
+		mutate func(p *Profile)
+	}{
+		{"MemRatio", func(p *Profile) { p.MemRatio = math.NaN() }},
+		{"BranchRatio", func(p *Profile) { p.BranchRatio = 1.01 }},
+		{"BranchRatio", func(p *Profile) { p.MemRatio, p.BranchRatio = 0.6, 0.5 }},
+		{"Streams", func(p *Profile) { p.Streams = nil }},
+		{"Weight", func(p *Profile) { p.Streams[0].Weight = math.NaN() }},
+		{"Weight", func(p *Profile) { p.Streams[0].Weight = math.Inf(1) }},
+		{"Weight", func(p *Profile) { p.Streams[0].Weight, p.Streams[1].Weight = math.MaxFloat64, math.MaxFloat64 }},
+		{"WriteFrac", func(p *Profile) { p.Streams[1].WriteFrac = -0.1 }},
+		{"OverlayOf", func(p *Profile) { p.Streams[1].OverlayOf = -1 }},
+		{"OverlayOf", func(p *Profile) { p.Streams[1].OverlayOf = 2 }},
+		{"PhaseDuty", func(p *Profile) { p.Streams[2].PhaseDuty = 0 }},
+		{"PhaseOffsets", func(p *Profile) { p.Streams[2].PhaseOffsets = []float64{-0.1} }},
+	}
+	for _, c := range cases {
+		p := Calculix()
+		c.mutate(p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("want an error naming %s, got %v", c.field, err)
+		}
+	}
+	// Streams only matter when there are memory instructions.
+	p := Calculix()
+	p.MemRatio, p.Streams = 0, nil
+	if err := p.Validate(); err != nil {
+		t.Errorf("MemRatio 0 without streams: %v", err)
+	}
+}
+
+// TestOverlaySpreadBeyondHost: an overlay whose single spread step is
+// wider than its host's arena still builds (one line) and runs; it used to
+// divide by a zero line count.
+func TestOverlaySpreadBeyondHost(t *testing.T) {
+	p := &Profile{
+		Name: "overlay-spread", MemRatio: 0.5, BranchRatio: 0.1, LoopDuty: 8, ILP: 4, Seed: 5,
+		Streams: []StreamSpec{
+			{Kind: Seq, Weight: 0.5, PaperBytes: 1024},
+			{Kind: Seq, Weight: 0.5, PaperBytes: 64 * 1024, SpreadLines: 64, OverlayOf: 1},
+		},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var b mem.Batch
+	p.NewProgram(1).FillBatch(1000, &b)
+	if len(b) == 0 {
+		t.Fatal("no accesses")
 	}
 }
 
