@@ -26,8 +26,10 @@
 // peer list, agree on a rendezvous-hashed owner per spec key (non-owners
 // proxy-wait on the owner, or steal the work when the owner's queue
 // exceeds -steal-depth or the owner is dead), and serve each other's
-// artifacts over an integrity-verified peer fetch tier — a checkpoint
-// warmed anywhere in the fleet is paid for once. Requires -store.
+// artifacts over a read-only peer fetch tier — a checkpoint warmed
+// anywhere in the fleet is paid for once. Fetches are checked for
+// corruption, not forgery: list only trusted nodes in -peers. Requires
+// -store.
 //
 // API:
 //
@@ -40,8 +42,6 @@
 //	GET    /v1/events[?key=K]   NDJSON stream of experiment completions
 //	GET    /v1/artifacts/{key}  the result payload (JSON); ?envelope=1
 //	                            serves the raw envelope (peer fetch path)
-//	GET    /v1/blobs            list stored artifacts (key, kind, size)
-//	GET    /v1/blobs/{key}      raw envelope; PUT/DELETE manage it
 //	GET    /v1/kinds            registered experiment kinds
 //	GET    /v1/status           engine and store statistics
 //	GET    /metrics             Prometheus text exposition

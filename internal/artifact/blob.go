@@ -1,10 +1,9 @@
 // Blob is the raw byte tier under Store: opaque envelope bytes addressed
 // by hex SHA-256 keys. Store owns everything semantic — envelope
 // verification, codecs, LRU accounting — so a backend only has to move
-// bytes, and any S3-style remote can plug in by implementing these five
-// methods. Two backends ship in this package: DiskBlob (the original
-// local-disk layout) and PeerBlob (read-through fetch from other labd
-// nodes over HTTP).
+// bytes. DiskBlob (the local-disk layout) is the one production backend;
+// FaultBlob wraps it with injected faults for tests. Other labd nodes are
+// not a Blob but a read-only tier behind it (PeerBlob, peer.go).
 package artifact
 
 import (
@@ -24,21 +23,22 @@ type BlobInfo struct {
 	ModTime time.Time
 }
 
-// Blob stores opaque artifact envelopes by validated hex key. All methods
-// must be safe for concurrent use and must not retain the data slice
-// passed to Put past the call (Store hands it a pooled buffer).
+// Blob stores opaque artifact envelopes by validated hex key: exactly the
+// operations Store calls. All methods must be safe for concurrent use and
+// must not retain the data slice passed to Put past the call (Store hands
+// it a pooled buffer).
 type Blob interface {
 	// Get returns the blob's bytes, or false if absent/unreadable.
 	Get(key string) ([]byte, bool)
 	// Put stores data under key, replacing any previous blob atomically.
 	Put(key string, data []byte) bool
-	// Stat reports the blob's size (and modification time where the
-	// backend has one) without reading it.
-	Stat(key string) (BlobInfo, bool)
 	// Delete removes the blob; true if it existed.
 	Delete(key string) bool
 	// List enumerates stored blobs in unspecified order.
 	List() []BlobInfo
+	// Touch refreshes the blob's recency stamp so LRU order survives a
+	// restart; a backend without durable recency does nothing.
+	Touch(key string)
 }
 
 // PooledGetter is an optional Blob fast path: Get without a per-read
@@ -47,13 +47,6 @@ type Blob interface {
 // implements it; Store uses it when present.
 type PooledGetter interface {
 	GetPooled(key string) (raw []byte, release func(), err error)
-}
-
-// Toucher is an optional Blob extension: refresh a blob's recency stamp
-// so LRU order survives a restart. Backends without durable recency
-// (PeerBlob) simply don't implement it.
-type Toucher interface {
-	Touch(key string)
 }
 
 // DiskBlob is the local-disk backend: one file per artifact at
@@ -144,18 +137,6 @@ func syncDir(dir string) {
 	}
 	_ = d.Sync()
 	_ = d.Close()
-}
-
-// Stat reports the blob's size and mtime without reading it.
-func (b *DiskBlob) Stat(key string) (BlobInfo, bool) {
-	if !validKey(key) {
-		return BlobInfo{}, false
-	}
-	info, err := os.Stat(b.path(key))
-	if err != nil {
-		return BlobInfo{}, false
-	}
-	return BlobInfo{Key: key, Size: info.Size(), ModTime: info.ModTime()}, true
 }
 
 // Delete removes the blob; true if it existed.

@@ -3,29 +3,24 @@ package artifact_test
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/lab"
 )
 
 // The blob conformance suite: every artifact.Blob backend must satisfy the
 // same contract, because artifact.Store layers its semantics (codecs, LRU,
 // integrity) on top of whichever backend it is given. The table runs the
-// identical assertions against the local-disk backend and the peer-HTTP
-// backend (served by a real lab.Server over its own disk store — the same
-// wire path a fleet node uses).
+// identical assertions against the local-disk backend and a quiet
+// FaultBlob over it.
 type confBackend struct {
 	name string
-	// open returns the blob under test and the authoritative on-disk
-	// directory behind it (where the corruption tests flip bytes: the blob
-	// dir for disk, the serving node's store dir for peer).
+	// open returns the blob under test and the on-disk directory behind
+	// it (where the corruption tests flip bytes).
 	open func(t *testing.T) (artifact.Blob, string)
 }
 
@@ -50,28 +45,11 @@ func confBackends() []confBackend {
 			}
 			return artifact.NewFaultBlob(inner, artifact.FaultConfig{Seed: 1}), dir
 		}},
-		{name: "peer", open: func(t *testing.T) (artifact.Blob, string) {
-			dir := t.TempDir()
-			srvStore, err := artifact.Open(dir, 0, codecs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, _, err := lab.NewEngine(1, "", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(lab.NewServerOpts(eng, srvStore, lab.Options{}).Handler())
-			t.Cleanup(ts.Close)
-			return artifact.NewPeerBlob([]string{ts.URL}, artifact.PeerOptions{
-				Timeout: 5 * time.Second, RetryBackoff: time.Millisecond,
-			}), dir
-		}},
 	}
 }
 
 // makeEnvelope produces valid envelope bytes for key through a scratch
-// store — the peer backend's serving side re-verifies on PUT, so blob
-// conformance data must be real envelopes, not arbitrary bytes.
+// store, for tests that need real envelopes rather than arbitrary bytes.
 func makeEnvelope(t *testing.T, k, name string) []byte {
 	t.Helper()
 	st, err := artifact.Open(t.TempDir(), 0, codecs())
@@ -113,8 +91,8 @@ func corruptOnDisk(t *testing.T, dir, k string) {
 	}
 }
 
-// TestBlobConformance: the raw Blob contract — Put/Get/Stat/List/Delete
-// over opaque keys — holds identically for both backends.
+// TestBlobConformance: the raw Blob contract — Put/Get/List/Delete over
+// opaque keys — holds identically for every backend.
 func TestBlobConformance(t *testing.T) {
 	for _, be := range confBackends() {
 		t.Run(be.name, func(t *testing.T) {
@@ -128,10 +106,6 @@ func TestBlobConformance(t *testing.T) {
 			got, ok := b.Get(k)
 			if !ok || !bytes.Equal(got, env) {
 				t.Fatalf("Get after Put: ok=%v, bytes match=%v", ok, bytes.Equal(got, env))
-			}
-			info, ok := b.Stat(k)
-			if !ok || info.Size != int64(len(env)) {
-				t.Errorf("Stat = %+v ok=%v, want size %d", info, ok, len(env))
 			}
 			var listed bool
 			for _, li := range b.List() {
@@ -155,8 +129,10 @@ func TestBlobConformance(t *testing.T) {
 			if _, ok := b.Get(k); ok {
 				t.Error("Get served a deleted blob")
 			}
-			if _, ok := b.Stat(k); ok {
-				t.Error("Stat found a deleted blob")
+			for _, li := range b.List() {
+				if li.Key == k {
+					t.Error("List includes a deleted blob")
+				}
 			}
 			if b.Delete(k) {
 				t.Error("second Delete reported present")
@@ -165,7 +141,7 @@ func TestBlobConformance(t *testing.T) {
 	}
 }
 
-// TestStoreConformance: a Store composed over either backend preserves
+// TestStoreConformance: a Store composed over any backend preserves
 // the store semantics — round-trip, corruption reads as a miss and heals,
 // LRU eviction order, and safety under concurrent Put/Get.
 func TestStoreConformance(t *testing.T) {
@@ -233,7 +209,7 @@ func TestStoreConformance(t *testing.T) {
 			if _, ok := st.Load("test", key("bb")); ok {
 				t.Error("LRU artifact bb survived eviction")
 			}
-			if _, ok := b.Stat(key("bb")); ok {
+			if _, ok := b.Get(key("bb")); ok {
 				t.Errorf("%s backend still holds evicted blob", be.name)
 			}
 			for _, k := range []string{key("aa"), key("cc")} {

@@ -67,3 +67,59 @@ func TestPayloadHashMatches(t *testing.T) {
 		t.Error("wrong payload accepted")
 	}
 }
+
+// fuzzKey is the key every FuzzParseEnvelope input is parsed against.
+const fuzzKey = "5eed000000000000000000000000000000000000000000000000000000000000"
+
+// FuzzParseEnvelope: parseEnvelope is the one gate every stored or fetched
+// envelope passes (Load, Raw, Envelope, the peer tier). On any bytes it
+// must not panic, must accept exactly when the schema, key and payload
+// hash hold (checked here against an independent decode), and an accepted
+// envelope must re-encode through writeEnvelope to bytes that parse back
+// to the same envelope — byte-equal to encoding/json's form whenever the
+// payload is in the canonical form codecs emit.
+func FuzzParseEnvelope(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		env, err := parseEnvelope(fuzzKey, raw)
+
+		var ref struct {
+			Schema  string          `json:"schema"`
+			Key     string          `json:"key"`
+			SHA256  string          `json:"sha256"`
+			Payload json.RawMessage `json:"payload"`
+		}
+		want := json.Unmarshal(raw, &ref) == nil && ref.Schema == Schema && ref.Key == fuzzKey &&
+			len(ref.Payload) > 0 && hexSHA256(ref.Payload) == ref.SHA256
+		if accepted := err == nil; accepted != want {
+			t.Fatalf("parseEnvelope accepted=%v (err %v), want %v", accepted, err, want)
+		}
+		if err != nil {
+			return
+		}
+
+		var buf bytes.Buffer
+		writeEnvelope(&buf, env.Kind, fuzzKey, env.CodecVersion, env.Payload)
+		back, err := parseEnvelope(fuzzKey, buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded envelope rejected: %v\n%s", err, buf.Bytes())
+		}
+		if back.Kind != env.Kind || back.CodecVersion != env.CodecVersion ||
+			back.SHA256 != env.SHA256 || !bytes.Equal(back.Payload, env.Payload) {
+			t.Fatalf("re-encoded envelope parses to %+v, want %+v", back, env)
+		}
+		if canon, _ := json.Marshal(env.Payload); bytes.Equal(canon, env.Payload) {
+			std, err := json.Marshal(&env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), std) {
+				t.Fatalf("writeEnvelope drifts from json.Marshal:\n got %s\nwant %s", buf.Bytes(), std)
+			}
+		}
+	})
+}
+
+func hexSHA256(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}

@@ -2,10 +2,10 @@
 // Blob with a seeded schedule of realistic storage failures (errors after
 // N ops, torn writes that report success, single-byte payload corruption,
 // injected latency), and FaultTransport does the same for the peer-HTTP
-// tier. Both are exercised by the conformance suite (a zero-fault wrapper
-// must be fully transparent) and by the chaos tests, which assert the
-// Store's integrity machinery turns every injected storage lie into a
-// recomputable miss — never into wrong data.
+// tier. The conformance suite checks that a zero-fault FaultBlob is fully
+// transparent, and the fault tests assert the Store's integrity machinery
+// turns every injected storage lie into a recomputable miss — never into
+// wrong data.
 package artifact
 
 import (
@@ -126,21 +126,14 @@ func (f *FaultBlob) Put(key string, data []byte) bool {
 	return f.inner.Put(key, data)
 }
 
-// Stat passes through; metadata is not on the fault schedule.
-func (f *FaultBlob) Stat(key string) (BlobInfo, bool) { return f.inner.Stat(key) }
-
 // Delete passes through.
 func (f *FaultBlob) Delete(key string) bool { return f.inner.Delete(key) }
 
 // List passes through.
 func (f *FaultBlob) List() []BlobInfo { return f.inner.List() }
 
-// Touch forwards recency stamps when the inner blob keeps them.
-func (f *FaultBlob) Touch(key string) {
-	if t, ok := f.inner.(Toucher); ok {
-		t.Touch(key)
-	}
-}
+// Touch passes through.
+func (f *FaultBlob) Touch(key string) { f.inner.Touch(key) }
 
 // FaultTransport injects deterministic transport faults into the peer-HTTP
 // tier: plug it into PeerOptions.Client to make a PeerBlob's wire flaky.

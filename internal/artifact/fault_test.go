@@ -97,8 +97,9 @@ func TestInjectedLatency(t *testing.T) {
 }
 
 // TestPeerTransportFaults: a flaky wire under PeerBlob (transport errors
-// after N requests) degrades to misses with the error counted — the
-// "lying peer = miss, never wrong data" claim under injected faults.
+// after N requests) degrades to misses with the error counted, so a broken
+// link costs a recompute, never a failed job. The integrity gate catches
+// corruption, not forgery: fleet peers are trusted.
 func TestPeerTransportFaults(t *testing.T) {
 	dir := t.TempDir()
 	srvStore, err := artifact.Open(dir, 0, codecs())

@@ -1,23 +1,22 @@
 package artifact
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync/atomic"
 	"time"
 )
 
-// PeerBlob is the peer-HTTP Blob backend: it reads artifact envelopes
-// from other labd nodes over GET /v1/artifacts/{key}?envelope=1 and
-// speaks the /v1/blobs surface for the rest of the contract. Every fetch
-// is integrity re-verified on receipt (CheckEnvelope: schema, key match,
-// payload SHA-256) before the bytes are trusted — a compromised or
-// bit-rotted peer reads as a miss, never as wrong data.
+// PeerBlob is the read-through tier Store.AttachPeers installs: it fetches
+// artifact envelopes from other labd nodes over
+// GET /v1/artifacts/{key}?envelope=1. It is read-only and not a Blob;
+// each node writes only its own disk. Every fetch passes parseEnvelope
+// (schema, key match, payload SHA-256) before it is persisted, so a
+// corrupted transfer reads as a miss. That catches corruption, not
+// forgery — the peer sends the hash with the payload — so the fleet's
+// peers are trusted.
 //
 // Failure policy (a dead peer must never fail a job): each attempt is
 // bounded by Timeout; a transport error gets exactly one retry after a
@@ -55,7 +54,7 @@ type PeerStats struct {
 	Errors uint64   `json:"errors"`
 }
 
-// NewPeerBlob builds a peer backend over the given base URLs (scheme
+// NewPeerBlob builds the peer tier over the given base URLs (scheme
 // optional; "host:port" becomes "http://host:port").
 func NewPeerBlob(peers []string, opt PeerOptions) *PeerBlob {
 	if opt.Timeout <= 0 {
@@ -104,9 +103,6 @@ func hasScheme(p string) bool {
 	return false
 }
 
-// PeerURLs returns the normalized peer list.
-func (p *PeerBlob) PeerURLs() []string { return p.peers }
-
 // Stats returns a snapshot of the fetch counters.
 func (p *PeerBlob) Stats() PeerStats {
 	return PeerStats{
@@ -138,7 +134,7 @@ func (p *PeerBlob) Get(key string) ([]byte, bool) {
 			p.errors.Add(1)
 			continue
 		}
-		if _, _, err := CheckEnvelope(key, raw); err != nil {
+		if _, err := parseEnvelope(key, raw); err != nil {
 			// The peer served bytes that fail the integrity gate: never
 			// trust them, never persist them.
 			p.errors.Add(1)
@@ -157,10 +153,10 @@ func (p *PeerBlob) Get(key string) ([]byte, bool) {
 // and has given its answer.
 func (p *PeerBlob) fetch(peer, key string) ([]byte, int, error) {
 	url := peer + "/v1/artifacts/" + key + "?envelope=1"
-	raw, status, err := p.do(http.MethodGet, url, nil)
+	raw, status, err := p.get(url)
 	if err != nil {
 		time.Sleep(p.backoff())
-		raw, status, err = p.do(http.MethodGet, url, nil)
+		raw, status, err = p.get(url)
 	}
 	return raw, status, err
 }
@@ -170,14 +166,10 @@ func (p *PeerBlob) backoff() time.Duration {
 	return base + time.Duration(rand.Int63n(int64(base)+1))
 }
 
-func (p *PeerBlob) do(method, url string, body []byte) ([]byte, int, error) {
+func (p *PeerBlob) get(url string) ([]byte, int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), p.opt.Timeout)
 	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -191,88 +183,4 @@ func (p *PeerBlob) do(method, url string, body []byte) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	return raw, resp.StatusCode, nil
-}
-
-// Put pushes the envelope to the first peer that accepts it
-// (PUT /v1/blobs/{key}); the remote side re-verifies before storing.
-func (p *PeerBlob) Put(key string, data []byte) bool {
-	if !validKey(key) {
-		return false
-	}
-	for _, peer := range p.peers {
-		_, status, err := p.do(http.MethodPut, peer+"/v1/blobs/"+key, data)
-		if err == nil && status/100 == 2 {
-			return true
-		}
-	}
-	return false
-}
-
-// Stat HEADs /v1/blobs/{key} across the peers.
-func (p *PeerBlob) Stat(key string) (BlobInfo, bool) {
-	if !validKey(key) {
-		return BlobInfo{}, false
-	}
-	for _, peer := range p.peers {
-		req, err := http.NewRequest(http.MethodHead, peer+"/v1/blobs/"+key, nil)
-		if err != nil {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.opt.Timeout)
-		resp, err := p.client.Do(req.WithContext(ctx))
-		if err != nil {
-			cancel()
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		cancel()
-		if resp.StatusCode == http.StatusOK {
-			return BlobInfo{Key: key, Size: resp.ContentLength}, true
-		}
-	}
-	return BlobInfo{}, false
-}
-
-// Delete issues DELETE /v1/blobs/{key} to every peer; true if any of
-// them had the blob.
-func (p *PeerBlob) Delete(key string) bool {
-	if !validKey(key) {
-		return false
-	}
-	any := false
-	for _, peer := range p.peers {
-		_, status, err := p.do(http.MethodDelete, peer+"/v1/blobs/"+key, nil)
-		if err == nil && status/100 == 2 {
-			any = true
-		}
-	}
-	return any
-}
-
-// List merges GET /v1/blobs across the peers, deduplicated by key and
-// sorted for a deterministic index order in OpenBlob.
-func (p *PeerBlob) List() []BlobInfo {
-	seen := make(map[string]BlobInfo)
-	for _, peer := range p.peers {
-		raw, status, err := p.do(http.MethodGet, peer+"/v1/blobs", nil)
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		var keys []KeyInfo
-		if json.Unmarshal(raw, &keys) != nil {
-			continue
-		}
-		for _, k := range keys {
-			if _, dup := seen[k.Key]; !dup && validKey(k.Key) {
-				seen[k.Key] = BlobInfo{Key: k.Key, Size: k.Size}
-			}
-		}
-	}
-	out := make([]BlobInfo, 0, len(seen))
-	for _, v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }

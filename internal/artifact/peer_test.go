@@ -5,6 +5,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/lab"
+	"repro/internal/runner"
 )
 
 // envelopeServer serves a fixed envelope body for every /v1/artifacts GET
@@ -177,7 +180,7 @@ func TestPeerReadThroughPersists(t *testing.T) {
 	if s := bStore.Stats(); s.PeerHits != 1 {
 		t.Errorf("PeerHits = %d, want 1", s.PeerHits)
 	}
-	if _, ok := bStore.StatKey(k); !ok {
+	if !bStore.Has(k) {
 		t.Error("fetched artifact not persisted to the local tier")
 	}
 
@@ -194,3 +197,64 @@ func TestPeerReadThroughPersists(t *testing.T) {
 		t.Error("read-through artifact did not survive a re-open")
 	}
 }
+
+// TestPeerServingCorruptionRecomputes: when a serving node's envelope is
+// corrupted on disk, its own integrity gate refuses to serve it. The
+// server counts one corrupt artifact and drops the file, the fetching
+// node sees a plain miss (a 404, not a peer error) and executes the spec
+// itself.
+func TestPeerServingCorruptionRecomputes(t *testing.T) {
+	aDir := t.TempDir()
+	aStore, err := artifact.Open(aDir, 0, codecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key("6d")
+	aStore.Save("test", k, payload{Name: "from-a", Pad: strings.Repeat("p", 256)})
+	eng, _, err := lab.NewEngine(1, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(lab.NewServerOpts(eng, aStore, lab.Options{}).Handler())
+	defer ts.Close()
+	corruptOnDisk(t, aDir, k)
+
+	bStore, err := artifact.Open(t.TempDir(), 0, codecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bStore.AttachPeers(artifact.NewPeerBlob([]string{ts.URL}, artifact.PeerOptions{RetryBackoff: time.Millisecond}))
+	bEng := runner.New(1)
+	bEng.Store = bStore
+	got, err := bEng.RunSpec(recomputeSpec{key: k})
+	if err != nil || got.(payload).Name != "recomputed" || bEng.Executions() != 1 {
+		t.Fatalf("fetching node did not recompute: %v %v, %d executions", got, err, bEng.Executions())
+	}
+	if s := bStore.Peers().Stats(); s.Misses != 1 || s.Hits != 0 || s.Errors != 0 {
+		t.Errorf("peer stats = %+v, want one clean miss", s)
+	}
+	if s := bStore.Stats(); s.PeerHits != 0 || s.LoadMisses != 1 || s.Saves != 1 {
+		t.Errorf("fetching store stats = %+v, want 1 miss, 1 save, no peer hit", s)
+	}
+	if s := aStore.Stats(); s.Corrupt != 1 {
+		t.Errorf("serving store corrupt = %d, want 1", s.Corrupt)
+	}
+	if aStore.Has(k) {
+		t.Error("serving store still indexes the corrupt artifact")
+	}
+	filepath.Walk(aDir, func(p string, info os.FileInfo, err error) error {
+		if err == nil && strings.Contains(p, k) {
+			t.Errorf("corrupt artifact file %s not dropped", p)
+		}
+		return nil
+	})
+}
+
+// recomputeSpec is a "test"-kind spec whose execution yields a fixed
+// payload.
+type recomputeSpec struct{ key string }
+
+func (recomputeSpec) Kind() string                       { return "test" }
+func (s recomputeSpec) Key() string                      { return s.key }
+func (recomputeSpec) Identity() (string, string, string) { return "test", "recompute", "" }
+func (recomputeSpec) Run(runner.Sub) (any, error)        { return payload{Name: "recomputed"}, nil }

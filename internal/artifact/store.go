@@ -7,16 +7,18 @@
 // process restarts.
 //
 // Store layers the semantics — envelope verification, codecs, LRU byte
-// accounting — over a pluggable Blob byte tier (blob.go): local disk
-// today, peer-HTTP fetch from other labd nodes (peer.go) as a
-// read-through fallback, any S3-style backend by implementing Blob.
+// accounting — over a Blob byte tier (blob.go), which is local disk in
+// production, with an optional read-through tier that fetches envelopes
+// from other labd nodes (peer.go).
 //
 // Properties the rest of the system relies on:
 //
 //   - integrity: every envelope records the SHA-256 of its payload; a
 //     mismatch (bit rot, torn write that survived rename) reads as a miss,
 //     never as silently wrong data — and the same gate is re-applied to
-//     envelopes fetched from peers before they are trusted or persisted;
+//     envelopes fetched from peers before they are persisted. The gate
+//     catches corruption, not forgery: the hash travels with the payload,
+//     so fleet peers are trusted;
 //   - atomic writes: payloads land via temp-file + rename, so a crashed
 //     writer can leave stale temp files but never a half-written artifact
 //     under a valid name;
@@ -92,14 +94,6 @@ type Stats struct {
 	MaxBytes  int64  `json:"max_bytes"`
 }
 
-// KeyInfo describes one indexed artifact (GET /v1/blobs). Kind may be
-// empty for artifacts indexed from disk at Open but never yet loaded.
-type KeyInfo struct {
-	Key  string `json:"key"`
-	Kind string `json:"kind,omitempty"`
-	Size int64  `json:"size"`
-}
-
 // Store is a content-addressed artifact store over one Blob backend.
 // All methods are safe for concurrent use. It implements runner.Store.
 type Store struct {
@@ -136,8 +130,7 @@ func Open(dir string, maxBytes int64, codecs map[string]Codec) (*Store, error) {
 
 // OpenBlob opens a store over an arbitrary Blob backend. Existing blobs
 // are indexed via List; their recency order is recovered from the
-// backend's modification times, which Load refreshes where the backend
-// supports it.
+// backend's modification times, which reads refresh through Touch.
 func OpenBlob(b Blob, maxBytes int64, codecs map[string]Codec) (*Store, error) {
 	s := &Store{blob: b, maxBytes: maxBytes, codecs: codecs, index: make(map[string]*entry)}
 	all := b.List()
@@ -228,15 +221,6 @@ func (s *Store) blobGet(key string) (raw []byte, release func(), err error) {
 	return raw, func() {}, nil
 }
 
-// blobTouch refreshes a loaded artifact's recency stamp on backends that
-// persist one (outside the store lock — it is only an LRU hint for the
-// next Open).
-func (s *Store) blobTouch(key string) {
-	if t, ok := s.blob.(Toucher); ok {
-		t.Touch(key)
-	}
-}
-
 // Load returns the decoded artifact for (kind, key), or a miss. It never
 // errors: absent, corrupt and incompatible artifacts all read as misses
 // (corrupt ones are deleted best-effort so they are recomputed once, not
@@ -259,7 +243,7 @@ func (s *Store) Load(kind, key string) (any, bool) {
 		s.mu.Unlock()
 		return s.loadFromPeers(kind, key, codec, false)
 	}
-	val, err := decodeEnvelope(raw, kind, key, codec)
+	val, err := decodeAs(raw, kind, key, codec)
 	size := int64(len(raw))
 	// The decoded value is independent of raw: the envelope's RawMessage
 	// payload is a copy, and every field of the decoded artifact is built
@@ -278,7 +262,7 @@ func (s *Store) Load(kind, key string) (any, bool) {
 	s.loads++
 	s.touchLocked(key, size, kind)
 	s.mu.Unlock()
-	s.blobTouch(key)
+	s.blob.Touch(key)
 	return val, true
 }
 
@@ -291,11 +275,11 @@ func (s *Store) Load(kind, key string) (any, bool) {
 func (s *Store) loadFromPeers(kind, key string, codec Codec, corrupted bool) (any, bool) {
 	if s.peers != nil {
 		if raw, ok := s.peers.Get(key); ok {
-			// PeerBlob verified schema/key/payload-hash; the kind and
-			// codec-version gates are ours. A mismatch (version skew
-			// across the fleet) is a plain miss — the peer's copy may be
-			// valid for a newer deployment and is left alone.
-			if val, err := decodeEnvelope(raw, kind, key, codec); err == nil {
+			// PeerBlob checked integrity; the kind and codec-version
+			// gates are ours. A mismatch (version skew across the fleet)
+			// is a plain miss — the peer's copy may be valid for a newer
+			// deployment and is left alone.
+			if val, err := decodeAs(raw, kind, key, codec); err == nil {
 				persisted := s.blob.Put(key, raw)
 				s.mu.Lock()
 				s.loads++
@@ -368,32 +352,22 @@ func (s *Store) miss(corrupt bool) {
 // peer-facing read path, and consulting peers here would let two nodes
 // ping-pong a fetch between each other.
 func (s *Store) Raw(key string) (payload []byte, kind string, ok bool) {
-	if !validKey(key) {
+	raw, env, err := s.readLocal(key)
+	if errors.Is(err, errNotFound) {
 		return nil, "", false
 	}
-	raw, found := s.blob.Get(key)
-	if !found {
+	if err == nil {
+		codec, hasCodec := s.codecs[env.Kind]
+		if !hasCodec {
+			return nil, "", false
+		}
+		if env.CodecVersion != codec.Version {
+			err = fmt.Errorf("codec version %d, want %d", env.CodecVersion, codec.Version)
+		}
+	}
+	if !s.settleLocal(key, raw, env.Kind, err) {
 		return nil, "", false
 	}
-	var env envelope
-	badEnv := json.Unmarshal(raw, &env) != nil ||
-		env.Schema != Schema || env.Key != key || !payloadHashMatches(env.Payload, env.SHA256)
-	codec, hasCodec := s.codecs[env.Kind]
-	if !badEnv && !hasCodec {
-		return nil, "", false
-	}
-	badEnv = badEnv || env.CodecVersion != codec.Version
-
-	s.mu.Lock()
-	if badEnv {
-		s.corrupt++
-		s.dropLocked(key)
-		s.mu.Unlock()
-		return nil, "", false
-	}
-	s.touchLocked(key, int64(len(raw)), env.Kind)
-	s.mu.Unlock()
-	s.blobTouch(key)
 	return env.Payload, env.Kind, true
 }
 
@@ -406,59 +380,46 @@ func (s *Store) Raw(key string) (payload []byte, kind string, ok bool) {
 // reads as corrupt (dropped) exactly like a local load would. Local blob
 // only, for the same no-recursion reason as Raw.
 func (s *Store) Envelope(key string) (raw []byte, kind string, ok bool) {
-	if !validKey(key) {
+	raw, env, err := s.readLocal(key)
+	if errors.Is(err, errNotFound) || !s.settleLocal(key, raw, env.Kind, err) {
 		return nil, "", false
+	}
+	return raw, env.Kind, true
+}
+
+// readLocal reads and parses key's local blob for Raw and Envelope;
+// errNotFound means the key is invalid or the blob absent, any other
+// error that the blob is corrupt.
+func (s *Store) readLocal(key string) (raw []byte, env envelope, err error) {
+	if !validKey(key) {
+		return nil, envelope{}, errNotFound
 	}
 	raw, found := s.blob.Get(key)
 	if !found {
-		return nil, "", false
+		return nil, envelope{}, errNotFound
 	}
-	kind, _, err := CheckEnvelope(key, raw)
+	env, err = parseEnvelope(key, raw)
+	return raw, env, err
+}
+
+// settleLocal accounts for a local read that found a blob: a corrupt one
+// (err != nil) is counted and dropped, a served one refreshes its
+// recency. It reports whether the blob is served.
+func (s *Store) settleLocal(key string, raw []byte, kind string, err error) bool {
 	s.mu.Lock()
 	if err != nil {
 		s.corrupt++
 		s.dropLocked(key)
 		s.mu.Unlock()
-		return nil, "", false
+		return false
 	}
 	s.touchLocked(key, int64(len(raw)), kind)
 	s.mu.Unlock()
-	s.blobTouch(key)
-	return raw, kind, true
+	s.blob.Touch(key)
+	return true
 }
 
-// PutEnvelope stores a pre-encoded envelope pushed by a peer
-// (PUT /v1/blobs/{key}). The envelope is re-verified — integrity, known
-// kind, matching codec version — so a peer can never plant bytes this
-// node would later serve or decode wrongly.
-func (s *Store) PutEnvelope(key string, raw []byte) error {
-	if !validKey(key) {
-		return errors.New("invalid key")
-	}
-	kind, version, err := CheckEnvelope(key, raw)
-	if err != nil {
-		return err
-	}
-	codec, ok := s.codecs[kind]
-	if !ok {
-		return fmt.Errorf("unknown kind %q", kind)
-	}
-	if codec.Version != version {
-		return fmt.Errorf("codec version %d, want %d", version, codec.Version)
-	}
-	if !s.blob.Put(key, raw) {
-		return errors.New("blob write failed")
-	}
-	s.mu.Lock()
-	s.saves++
-	s.touchLocked(key, int64(len(raw)), kind)
-	s.evictLocked(key)
-	s.mu.Unlock()
-	return nil
-}
-
-// DeleteKey removes the artifact for key (DELETE /v1/blobs/{key});
-// true if it was indexed.
+// DeleteKey removes the artifact for key; true if it was indexed.
 func (s *Store) DeleteKey(key string) bool {
 	if !validKey(key) {
 		return false
@@ -470,69 +431,50 @@ func (s *Store) DeleteKey(key string) bool {
 	return existed
 }
 
-// StatKey reports an indexed artifact's size and kind without reading it.
-func (s *Store) StatKey(key string) (KeyInfo, bool) {
+// Has reports whether key is an indexed artifact, without reading it.
+func (s *Store) Has(key string) bool {
 	if !validKey(key) {
-		return KeyInfo{}, false
+		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ent, ok := s.index[key]
-	if !ok {
-		return KeyInfo{}, false
-	}
-	return KeyInfo{Key: key, Kind: ent.kind, Size: ent.size}, true
+	_, ok := s.index[key]
+	return ok
 }
 
-// Keys lists the indexed artifacts sorted by key (GET /v1/blobs).
-func (s *Store) Keys() []KeyInfo {
-	s.mu.Lock()
-	out := make([]KeyInfo, 0, len(s.index))
-	for k, e := range s.index {
-		out = append(out, KeyInfo{Key: k, Kind: e.kind, Size: e.size})
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// CheckEnvelope verifies that raw is a well-formed artifact envelope for
-// key — schema, key match, payload SHA-256 — and returns its kind and
-// codec version. It is the integrity gate applied to envelopes received
-// from peers before they are trusted or persisted; the caller owns the
-// kind/version policy.
-func CheckEnvelope(key string, raw []byte) (kind string, codecVersion int, err error) {
+// parseEnvelope unmarshals raw once and checks what every reader of an
+// envelope relies on: the schema (including a present payload), the key
+// it was stored under, and the payload's SHA-256. The check catches
+// corruption, not forgery — the sender supplies the hash along with the
+// payload. Each caller applies its own kind and codec-version policy to
+// the result.
+func parseEnvelope(key string, raw []byte) (envelope, error) {
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		return "", 0, err
+		return envelope{}, err
 	}
 	switch {
 	case env.Schema != Schema:
-		return "", 0, fmt.Errorf("schema %q", env.Schema)
+		return envelope{}, fmt.Errorf("schema %q", env.Schema)
+	case len(env.Payload) == 0:
+		return envelope{}, errors.New("missing payload")
 	case env.Key != key:
-		return "", 0, fmt.Errorf("key mismatch")
+		return envelope{}, errors.New("key mismatch")
 	case !payloadHashMatches(env.Payload, env.SHA256):
-		return "", 0, fmt.Errorf("payload hash mismatch")
+		return envelope{}, errors.New("payload hash mismatch")
 	}
-	return env.Kind, env.CodecVersion, nil
+	return env, nil
 }
 
-func decodeEnvelope(raw []byte, kind, key string, codec Codec) (any, error) {
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
+// decodeAs is Load's policy over parseEnvelope: an envelope of another
+// kind or codec version is rejected, a matching one decoded.
+func decodeAs(raw []byte, kind, key string, codec Codec) (any, error) {
+	env, err := parseEnvelope(key, raw)
+	if err != nil {
 		return nil, err
 	}
-	switch {
-	case env.Schema != Schema:
-		return nil, fmt.Errorf("schema %q", env.Schema)
-	case env.Kind != kind:
-		return nil, fmt.Errorf("kind %q, want %q", env.Kind, kind)
-	case env.Key != key:
-		return nil, fmt.Errorf("key mismatch")
-	case env.CodecVersion != codec.Version:
-		return nil, fmt.Errorf("codec version %d, want %d", env.CodecVersion, codec.Version)
-	case !payloadHashMatches(env.Payload, env.SHA256):
-		return nil, fmt.Errorf("payload hash mismatch")
+	if env.Kind != kind || env.CodecVersion != codec.Version {
+		return nil, fmt.Errorf("kind %q v%d, want %q v%d", env.Kind, env.CodecVersion, kind, codec.Version)
 	}
 	return codec.Decode(env.Payload)
 }

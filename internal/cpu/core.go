@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/workload"
@@ -22,6 +24,44 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{Width: 8, ROB: 192, IQ: 64, LQ: 64, SQ: 64,
 		MispredictPenalty: 14, BP: DefaultBPConfig()}
+}
+
+// Upper bounds on the core's sizes, far above Table 1 (8-wide, 192-entry
+// ROB, predictor tables of 2–8 k entries). A core allocates its ROB
+// completion ring and four predictor tables up front, and labd builds one
+// per job (one per app in a co-run), so these keep a single spec from
+// allocating more than a few MiB per core.
+const (
+	maxWidth     = 1 << 10
+	maxROB       = 1 << 16 // 512 KiB of completion ring
+	maxBPEntries = 1 << 20 // 1 MiB per counter table, 8 MiB of BTB
+)
+
+// Validate rejects a core the timing model cannot run: a zero ROB or
+// predictor table indexes out of range or divides by zero, a non-positive
+// width silently runs as a 1-wide core, and the upper bounds cap the
+// allocation. The error names the offending field.
+func (c Config) Validate() error {
+	if c.Width < 1 || c.Width > maxWidth {
+		return fmt.Errorf("Width = %d, must be in [1, %d]", c.Width, maxWidth)
+	}
+	if c.ROB < 1 || c.ROB > maxROB {
+		return fmt.Errorf("ROB = %d, must be in [1, %d]", c.ROB, maxROB)
+	}
+	for _, t := range []struct {
+		field string
+		n     int
+	}{
+		{"BP.LocalEntries", c.BP.LocalEntries},
+		{"BP.GlobalEntries", c.BP.GlobalEntries},
+		{"BP.ChoiceEntries", c.BP.ChoiceEntries},
+		{"BP.BTBEntries", c.BP.BTBEntries},
+	} {
+		if t.n < 1 || t.n > maxBPEntries {
+			return fmt.Errorf("%s = %d, must be in [1, %d]", t.field, t.n, maxBPEntries)
+		}
+	}
+	return nil
 }
 
 // Stats aggregates one simulated interval.

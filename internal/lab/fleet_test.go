@@ -176,7 +176,7 @@ func TestFleetExactlyOnce(t *testing.T) {
 		if urls[i] == owner {
 			continue
 		}
-		if _, ok := n.Store.StatKey(key); !ok {
+		if !n.Store.Has(key) {
 			t.Errorf("node %d missing the artifact locally after proxying", i)
 		}
 		peerHits += n.Store.Peers().Stats().Hits

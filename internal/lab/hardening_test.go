@@ -560,9 +560,10 @@ func TestNoGoroutineLeaks(t *testing.T) {
 
 // TestMalformedConfigsRejected: configs whose fast-forward targets
 // underflow or point into the past used to wedge a worker in a
-// near-endless walk, and Scale 0 killed the daemon. Each must now be
-// refused at submission with a 400 naming the field, and the daemon must
-// go on serving.
+// near-endless walk, Scale 0 killed the daemon, and a core with a zero
+// ROB or predictor table panicked in the executor (a zero width ran
+// silently). Each must now be refused at submission with a 400 naming the
+// field, and the daemon must go on serving.
 func TestMalformedConfigsRejected(t *testing.T) {
 	ts, _ := newHardenedServer(t, 1, lab.Options{})
 	base := warm.DefaultConfig()
@@ -582,16 +583,30 @@ func TestMalformedConfigsRejected(t *testing.T) {
 			func(c *warm.Config) { c.Scale = 0 }},
 		{"dse windows not ascending", spec.KindDSESweep, "ExplorerWindows",
 			func(c *warm.Config) { c.ExplorerWindows = []float64{0.10, 0.05} }},
+		{"zero ROB", spec.KindSampling, "CPU.ROB",
+			func(c *warm.Config) { c.CPU.ROB = 0 }},
+		{"zero predictor table", spec.KindSampling, "CPU.BP.GlobalEntries",
+			func(c *warm.Config) { c.CPU.BP.GlobalEntries = 0 }},
+		{"dse zero width", spec.KindDSESweep, "CPU.Width",
+			func(c *warm.Config) { c.CPU.Width = 0 }},
+		{"corun-sim negative ROB", spec.KindCoRunSim, "CPU.ROB",
+			func(c *warm.Config) { c.CPU.ROB = -1 }},
+		{"corun-profile huge BTB", spec.KindCoRunProfile, "CPU.BP.BTBEntries",
+			func(c *warm.Config) { c.CPU.BP.BTBEntries = 1 << 40 }},
 	}
 	for _, c := range cases {
 		cfg := base
 		cfg.ExplorerWindows = append([]float64(nil), base.ExplorerWindows...)
 		c.mutate(&cfg)
-		params := map[string]any{"bench": map[string]string{"name": "mcf"}, "cfg": cfg}
-		if c.kind == spec.KindSampling {
+		mcf := map[string]string{"name": "mcf"}
+		params := map[string]any{"bench": mcf, "cfg": cfg}
+		switch c.kind {
+		case spec.KindSampling:
 			params["method"] = spec.MethodDeLorean
-		} else {
+		case spec.KindDSESweep:
 			params["sizes"] = []uint64{8 << 20}
+		case spec.KindCoRunSim:
+			params = map[string]any{"mix": "mcf", "apps": []any{mcf}, "cfg": cfg}
 		}
 		body, err := json.Marshal(map[string]any{"kind": c.kind, "params": params})
 		if err != nil {

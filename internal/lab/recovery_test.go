@@ -107,7 +107,7 @@ func TestServerRecoversAcceptedJobs(t *testing.T) {
 	if st.State != lab.StateDone {
 		t.Fatalf("recovered job state = %s (%s), want done", st.State, st.Error)
 	}
-	if _, ok := store.StatKey(sp.Key()); !ok {
+	if !store.Has(sp.Key()) {
 		t.Error("recovered job did not persist its artifact")
 	}
 

@@ -303,10 +303,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{key}/wait", s.handleWait)
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/artifacts/{key}", s.handleArtifact)
-	mux.HandleFunc("GET /v1/blobs", s.handleBlobList)
-	mux.HandleFunc("GET /v1/blobs/{key}", s.handleBlobGet)
-	mux.HandleFunc("PUT /v1/blobs/{key}", s.handleBlobPut)
-	mux.HandleFunc("DELETE /v1/blobs/{key}", s.handleBlobDelete)
 	mux.HandleFunc("GET /v1/kinds", s.handleKinds)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -596,12 +592,7 @@ func (s *Server) localHit(key string) bool {
 	if s.eng.HasCached(key) {
 		return true
 	}
-	if s.store != nil {
-		if _, ok := s.store.StatKey(key); ok {
-			return true
-		}
-	}
-	return false
+	return s.store != nil && s.store.Has(key)
 }
 
 // finish moves a job to its terminal state and wakes the waiters.
@@ -885,8 +876,8 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(payload)
 }
 
-// serveEnvelope writes the verified raw envelope for key, with an
-// explicit Content-Length so HEAD probes (Blob.Stat) see the size.
+// serveEnvelope writes the verified raw envelope for key: the peer fetch
+// path, whose bytes and headers mixed-version fleets rely on.
 func (s *Server) serveEnvelope(w http.ResponseWriter, key string) {
 	if s.store == nil {
 		writeError(w, http.StatusNotFound, "no artifact store")
@@ -902,59 +893,6 @@ func (s *Server) serveEnvelope(w http.ResponseWriter, key string) {
 	w.Header().Set("X-Artifact-Kind", kind)
 	w.Header().Set("X-Artifact-Source", "envelope")
 	_, _ = w.Write(raw)
-}
-
-// The /v1/blobs surface completes the Blob contract over HTTP (GET list,
-// GET/HEAD/PUT/DELETE per key) so artifact.PeerBlob is a full Blob
-// backend, not just a read path: the same conformance suite that runs
-// against DiskBlob runs against a live node through these handlers.
-// Writes re-verify the envelope server-side (Store.PutEnvelope) — a peer
-// can never plant bytes this node would serve or decode wrongly.
-
-func (s *Server) handleBlobList(w http.ResponseWriter, _ *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusNotFound, "no artifact store")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.store.Keys())
-}
-
-func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
-	s.serveEnvelope(w, r.PathValue("key"))
-}
-
-func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusNotFound, "no artifact store")
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "envelope exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if err := s.store.PutEnvelope(r.PathValue("key"), raw); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleBlobDelete(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusNotFound, "no artifact store")
-		return
-	}
-	if !s.store.DeleteKey(r.PathValue("key")) {
-		writeError(w, http.StatusNotFound, "no artifact for %q", r.PathValue("key"))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleKinds(w http.ResponseWriter, _ *http.Request) {

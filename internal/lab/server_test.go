@@ -3,13 +3,17 @@ package lab_test
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/lab"
 	"repro/internal/spec"
 	"repro/internal/warm"
@@ -267,5 +271,95 @@ func TestServiceEvents(t *testing.T) {
 	}
 	if !found {
 		t.Error("event stream never reported the submitted job")
+	}
+}
+
+// TestForgedBlobPutRefused: the store has no client write path. A
+// self-consistent forged envelope PUT at a spec's key used to be stored
+// (its hash matched its own payload) and then served as that spec's
+// result without executing it. Every method on /v1/blobs* must now be
+// refused, the store must not change, and the next POST must execute.
+func TestForgedBlobPutRefused(t *testing.T) {
+	eng, store, err := lab.NewEngine(1, t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(lab.NewServerOpts(eng, store, lab.Options{}).Handler())
+	defer ts.Close()
+	body := shortSpec(t)
+	sp, err := spec.Decode(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sp.Key()
+
+	forged := json.RawMessage(`{"method":"delorean","delorean":{"Bench":"forged"}}`)
+	sum := sha256.Sum256(forged)
+	env, err := json.Marshal(map[string]any{
+		"schema": artifact.Schema, "kind": spec.KindSampling, "key": key,
+		"codec_version": 1, "sha256": hex.EncodeToString(sum[:]), "payload": forged,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path string, body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	blobRoutes := func() {
+		t.Helper()
+		for _, r := range []struct{ method, path string }{
+			{http.MethodPut, "/v1/blobs/" + key}, {http.MethodDelete, "/v1/blobs/" + key},
+			{http.MethodGet, "/v1/blobs/" + key}, {http.MethodHead, "/v1/blobs/" + key},
+			{http.MethodGet, "/v1/blobs"},
+		} {
+			if code := do(r.method, r.path, env); code/100 == 2 {
+				t.Errorf("%s %s answered %d, want a refusal", r.method, r.path, code)
+			}
+		}
+	}
+
+	if code := do(http.MethodPut, "/v1/blobs/"+key, env); code/100 == 2 {
+		t.Errorf("forged PUT answered %d, want a refusal", code)
+	}
+	if store.Has(key) || store.Stats().Saves != 0 {
+		t.Fatalf("store changed by a forged PUT: has=%v stats=%+v", store.Has(key), store.Stats())
+	}
+	if code := do(http.MethodGet, "/v1/artifacts/"+key, nil); code != http.StatusNotFound {
+		t.Errorf("GET artifact before any run: %d, want 404", code)
+	}
+
+	st := postSpec(t, ts, body)
+	fin := waitDone(t, ts, st.Key)
+	if fin.Cached || fin.FromStore || eng.Executions() != 1 {
+		t.Fatalf("POST after forged PUT: %+v, %d executions, want one fresh execution", fin, eng.Executions())
+	}
+	art := func() []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/artifacts/" + key + "?envelope=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || bytes.Contains(b, []byte("forged")) {
+			t.Fatalf("GET artifact: %s %.80s", resp.Status, b)
+		}
+		return b
+	}
+	before := art()
+	blobRoutes()
+	if !store.Has(key) || !bytes.Equal(art(), before) {
+		t.Error("/v1/blobs requests changed a stored artifact")
 	}
 }

@@ -436,6 +436,16 @@ func resolveAll(refs []BenchRef) ([]*workload.Profile, error) {
 	return out, nil
 }
 
+// validateCPU checks the core the co-run kinds build from cfg.CPU; the
+// sampling layout the rest of warm.Config.Validate checks does not apply
+// to them.
+func validateCPU(cfg warm.Config) error {
+	if err := cfg.CPU.Validate(); err != nil {
+		return fmt.Errorf("cfg: CPU.%w", err)
+	}
+	return nil
+}
+
 // ------------------------------------------------------------ registration
 
 func init() {
@@ -504,7 +514,11 @@ func init() {
 		About: "size-independent solo profile of one app (reuse histogram, base CPI, penalty fit)",
 		New:   func() any { return new(CoRunProfileParams) },
 		Validate: func(p Params) error {
-			return p.(CoRunProfileParams).Bench.validate()
+			sp := p.(CoRunProfileParams)
+			if err := validateCPU(sp.Cfg); err != nil {
+				return err
+			}
+			return sp.Bench.validate()
 		},
 		Run:   runCoRunProfile,
 		Codec: jsonCodec[multiprog.SoloProfile](1),
@@ -514,7 +528,11 @@ func init() {
 		About: "per-(app, LLC size) calibration; nests the app's corun-profile",
 		New:   func() any { return new(CoRunCalParams) },
 		Validate: func(p Params) error {
-			return p.(CoRunCalParams).Bench.validate()
+			sp := p.(CoRunCalParams)
+			if err := validateCPU(sp.Cfg); err != nil {
+				return err
+			}
+			return sp.Bench.validate()
 		},
 		Run:   runCoRunCalibrate,
 		Codec: jsonCodec[multiprog.SoloCalibration](1),
@@ -527,6 +545,9 @@ func init() {
 			sp := p.(CoRunWarmParams)
 			if len(sp.Apps) == 0 {
 				return fmt.Errorf("empty app mix")
+			}
+			if err := validateCPU(sp.Cfg); err != nil {
+				return err
 			}
 			for _, a := range sp.Apps {
 				if err := a.validate(); err != nil {
@@ -546,6 +567,9 @@ func init() {
 			sp := p.(CoRunSimParams)
 			if len(sp.Apps) == 0 {
 				return fmt.Errorf("empty app mix")
+			}
+			if err := validateCPU(sp.Cfg); err != nil {
+				return err
 			}
 			for _, a := range sp.Apps {
 				if err := a.validate(); err != nil {

@@ -109,13 +109,13 @@ func TestStolenCellResumesFromPeerProgress(t *testing.T) {
 	// Resuming from the peer checkpoint means B never needed the warm-up;
 	// had it recomputed (or peer-fetched) the warm state, the read-through
 	// tier would have cached it locally.
-	if _, ok := stB.StatKey(warmKey); ok {
+	if stB.Has(warmKey) {
 		t.Error("B acquired the warm checkpoint: it recomputed instead of resuming")
 	}
-	if _, ok := stB.StatKey(cellKey); !ok {
+	if !stB.Has(cellKey) {
 		t.Error("B did not persist the finished cell result")
 	}
-	if _, ok := stB.StatKey(pkey); ok {
+	if stB.Has(pkey) {
 		t.Error("B kept the progress trail after finishing the cell")
 	}
 }

@@ -78,10 +78,10 @@ func TestCancelledCellResumesFromProgress(t *testing.T) {
 	if _, err := eng.RunSpecCtx(ctx, MustNew(cell)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
-	if _, ok := st.StatKey(pkey); !ok {
+	if !st.Has(pkey) {
 		t.Fatal("no progress checkpoint survived the cancelled run")
 	}
-	if _, ok := st.StatKey(cellKey); ok {
+	if st.Has(cellKey) {
 		t.Fatal("cancelled run leaked a cell result artifact")
 	}
 
@@ -103,13 +103,13 @@ func TestCancelledCellResumesFromProgress(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed result diverged from straight run:\n got  %+v\n want %+v", got, want)
 	}
-	if _, ok := st2.StatKey(warmKey); ok {
+	if st2.Has(warmKey) {
 		t.Error("resume path re-ran the warm-up instead of resuming from progress")
 	}
-	if _, ok := st2.StatKey(pkey); ok {
+	if st2.Has(pkey) {
 		t.Error("progress trail not deleted after the run completed")
 	}
-	if _, ok := st2.StatKey(cellKey); !ok {
+	if !st2.Has(cellKey) {
 		t.Error("completed run did not persist the cell result")
 	}
 

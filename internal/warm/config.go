@@ -124,9 +124,10 @@ func DecodeConfig(b []byte) (Config, error) {
 }
 
 // Validate rejects a configuration whose regions or windows cannot be laid
-// out along the stream: every pass only travels forward, so a target that
-// underflows or lies behind a pass would wedge or kill it. The error names
-// the offending field.
+// out along the stream — every pass only travels forward, so a target that
+// underflows or lies behind a pass would wedge or kill it — or whose core
+// cannot be built (cpu.Config.Validate). The error names the offending
+// field.
 func (c Config) Validate() error {
 	if c.Scale == 0 {
 		return fmt.Errorf("Scale must be at least 1")
@@ -157,6 +158,9 @@ func (c Config) Validate() error {
 		if !(seg.Frac >= 0) || (i < len(c.RSWSchedule)-1 && sum > 1) {
 			return fmt.Errorf("RSWSchedule[%d].Frac = %g, fractions must be non-negative and sum to at most 1", i, seg.Frac)
 		}
+	}
+	if err := c.CPU.Validate(); err != nil {
+		return fmt.Errorf("CPU.%w", err)
 	}
 	return nil
 }

@@ -42,20 +42,35 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
-	cases := map[string]func(c *Config){
-		"Scale":           func(c *Config) { c.Scale = 0 },
-		"Regions":         func(c *Config) { c.Regions = 0 },
-		"DetailWarm":      func(c *Config) { c.DetailWarm = c.Gap() - c.RegionLen + 1 },
-		"PaperGap":        func(c *Config) { c.Scale, c.PaperGap = 1, 1<<62 },
-		"ExplorerWindows": func(c *Config) { c.ExplorerWindows = []float64{0.05, 0.05} },
-		"RSWSchedule":     func(c *Config) { c.RSWSchedule = []RSWSegment{{0.8, 1}, {0.3, 1}, {0.1, 1}} },
+	cases := []struct {
+		field  string
+		mutate func(c *Config)
+	}{
+		{"Scale", func(c *Config) { c.Scale = 0 }},
+		{"Regions", func(c *Config) { c.Regions = 0 }},
+		{"DetailWarm", func(c *Config) { c.DetailWarm = c.Gap() - c.RegionLen + 1 }},
+		{"PaperGap", func(c *Config) { c.Scale, c.PaperGap = 1, 1<<62 }},
+		{"ExplorerWindows", func(c *Config) { c.ExplorerWindows = []float64{0.05, 0.05} }},
+		{"RSWSchedule", func(c *Config) { c.RSWSchedule = []RSWSegment{{0.8, 1}, {0.3, 1}, {0.1, 1}} }},
+		// Each core case used to pass Validate and then panic (index out of
+		// range, makeslice, divide by zero) or run silently (Width).
+		{"CPU.ROB", func(c *Config) { c.CPU.ROB = 0 }},
+		{"CPU.ROB", func(c *Config) { c.CPU.ROB = -1 }},
+		{"CPU.ROB", func(c *Config) { c.CPU.ROB = 1 << 30 }},
+		{"CPU.Width", func(c *Config) { c.CPU.Width = 0 }},
+		{"CPU.Width", func(c *Config) { c.CPU.Width = -8 }},
+		{"CPU.BP.LocalEntries", func(c *Config) { c.CPU.BP.LocalEntries = 0 }},
+		{"CPU.BP.GlobalEntries", func(c *Config) { c.CPU.BP.GlobalEntries = 0 }},
+		{"CPU.BP.ChoiceEntries", func(c *Config) { c.CPU.BP.ChoiceEntries = 0 }},
+		{"CPU.BP.BTBEntries", func(c *Config) { c.CPU.BP.BTBEntries = 0 }},
+		{"CPU.BP.BTBEntries", func(c *Config) { c.CPU.BP.BTBEntries = 1 << 40 }},
 	}
-	for field, mutate := range cases {
+	for _, tc := range cases {
 		c := DefaultConfig()
-		mutate(&c)
+		tc.mutate(&c)
 		err := c.Validate()
-		if err == nil || !strings.Contains(err.Error(), field) {
-			t.Errorf("%s: Validate() = %v, want an error naming the field", field, err)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming the field", tc.field, err)
 		}
 	}
 	edge := DefaultConfig()
@@ -63,6 +78,18 @@ func TestConfigValidate(t *testing.T) {
 	edge.ExplorerWindows = []float64{1}
 	if err := edge.Validate(); err != nil {
 		t.Errorf("config at the layout limits rejected: %v", err)
+	}
+	// The core's lower bounds are its real limits: the smallest valid core
+	// runs.
+	tiny := testCfg()
+	tiny.Regions = 1
+	tiny.CPU.Width, tiny.CPU.ROB = 1, 1
+	tiny.CPU.BP = cpu.BPConfig{LocalEntries: 1, GlobalEntries: 1, ChoiceEntries: 1, BTBEntries: 1}
+	if err := tiny.Validate(); err != nil {
+		t.Fatalf("smallest core rejected: %v", err)
+	}
+	if cpi := RunSMARTS(testProf(), tiny).CPI(); !(cpi > 0) {
+		t.Errorf("smallest core CPI = %v", cpi)
 	}
 }
 
